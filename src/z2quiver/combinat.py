@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 MAX_GROUND = 16
+# Most pairs a dimension vector parsed from text may hold.  It lies far above
+# any n the computations are meant for and keeps a repetition such as
+# '(1,0)*1000000000' from being expanded into a billion-entry list.
+MAX_PAIRS = 10_000
 
 
 def check_ground(n: int) -> None:
@@ -225,7 +229,10 @@ _REPEAT_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\*\s*(\d+)")
 
 
 def parse_dim_vector(text: str) -> DimVector:
-    """Parse 'a+,a-;a+,a-;...' with optional '(a,b)*r' repetition segments."""
+    """Parse 'a+,a-;a+,a-;...' with optional '(a,b)*r' repetition segments.
+
+    Refuses, before building any list, text that would give more than
+    MAX_PAIRS pairs, so a huge repetition count costs nothing."""
     pairs: list[tuple[int, int]] = []
     for idx, seg in enumerate(text.split(";"), start=1):
         seg = seg.strip()
@@ -234,13 +241,13 @@ def parse_dim_vector(text: str) -> DimVector:
             p, q, r = int(m.group(1)), int(m.group(2)), int(m.group(3))
             if r < 1:
                 raise ValueError(f"pair {idx}: repetition count must be >= 1 in {seg!r}")
-            pairs.extend([(p, q)] * r)
-            continue
-        m = _PAIR_RE.fullmatch(seg)
-        if m:
-            pairs.append((int(m.group(1)), int(m.group(2))))
-            continue
-        raise ValueError(f"pair {idx}: expected 'a,b' or '(a,b)*r', got {seg!r}")
+        elif m := _PAIR_RE.fullmatch(seg):
+            p, q, r = int(m.group(1)), int(m.group(2)), 1
+        else:
+            raise ValueError(f"pair {idx}: expected 'a,b' or '(a,b)*r', got {seg!r}")
+        if len(pairs) + r > MAX_PAIRS:
+            raise ValueError(f"pair {idx}: {seg!r} takes the dimension vector past {MAX_PAIRS} pairs")
+        pairs.extend([(p, q)] * r)
     return DimVector(tuple(pairs))
 
 

@@ -162,6 +162,12 @@ class TestSimple:
         assert code == 1
         assert "pair 2" in capsys.readouterr().err
 
+    def test_huge_repeat_is_refused(self, capsys):
+        code = main(["simple", "--alpha", "(1,0)*1000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "past 10000 pairs" in captured.err
+
 
 class TestIssDim:
     def test_value(self, capsys):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from z2quiver.combinat import (
+    MAX_PAIRS,
     DimVector,
     SetPartition,
     YoungLabel,
@@ -192,6 +194,21 @@ class TestDimVector:
     def test_parse_reports_offending_pair(self):
         with pytest.raises(ValueError, match="pair 2"):
             parse_dim_vector("2,1;2;2,1")
+
+    def test_huge_repeat_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"past {MAX_PAIRS} pairs"):
+                parse_dim_vector("(1,0)*1000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pair_cap_boundary(self):
+        assert parse_dim_vector(f"(1,0)*{MAX_PAIRS}").n == MAX_PAIRS
+        with pytest.raises(ValueError, match="pair 2"):
+            parse_dim_vector(f"(1,0)*{MAX_PAIRS};0,1")
 
     def test_constant_sum_enforced(self):
         with pytest.raises(ValueError):

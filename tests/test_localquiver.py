@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from z2quiver.combinat import DimVector, YoungLabel, full_mask, multiset_coeff, partitions_of_int
+from z2quiver.combinat import (
+    DimVector,
+    YoungLabel,
+    enumerate_set_partitions,
+    full_mask,
+    multiset_coeff,
+    partitions_of_int,
+)
 from z2quiver.freeprod import iss_dim
 from z2quiver.localquiver import (
     DegenerationGraph,
@@ -235,6 +242,51 @@ class TestDegenerates:
         assert degenerates_class(s, t)
 
 
+def class_members(t: LocalSetting):
+    """Every labelled setting in the permutation class of t, found by
+    scanning all set partitions of the ground set."""
+    shape = tuple(sorted(t.sizes, reverse=True))
+    by_size: dict[int, list[int]] = {}
+    for sz, k in zip(t.sizes, t.k):
+        by_size.setdefault(sz, []).append(k)
+    for part in enumerate_set_partitions(t.n):
+        if part.sizes != shape:
+            continue
+        class_blocks: dict[int, list[int]] = {}
+        for b in part.blocks:
+            class_blocks.setdefault(b.bit_count(), []).append(b)
+        per_class = []
+        for sz in sorted(class_blocks, reverse=True):
+            per_class.append(sorted(set(itertools.permutations(by_size[sz]))))
+        for assignment in itertools.product(*per_class):
+            blocks: list[int] = []
+            ks: list[int] = []
+            for sz, ktuple in zip(sorted(class_blocks, reverse=True), assignment):
+                blocks.extend(class_blocks[sz])
+                ks.extend(ktuple)
+            yield LocalSetting(t.n, t.m, tuple(blocks), tuple(ks))
+
+
+def scan_degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
+    """Oracle for degenerates_class: some labelled member of t's class is a
+    labelled degeneration of s."""
+    return any(degenerates(s, tt) for tt in class_members(t))
+
+
+class TestDegeneratesClass:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_labelled_scan(self, n):
+        for m in range(1, n + 1):
+            nodes = enumerate_settings(n, m)
+            for s in nodes:
+                for t in nodes:
+                    assert degenerates_class(s, t) == scan_degenerates_class(s, t), (m, s.id(), t.id())
+
+    def test_mismatched_levels_rejected(self):
+        with pytest.raises(ValueError):
+            degenerates_class(LocalSetting(3, 3, whole(3), (3,)), LocalSetting(3, 2, whole(3), (2,)))
+
+
 class TestElementaryMoves:
     def test_top_node_33(self):
         moves = elementary_moves(LocalSetting(3, 3, whole(3), (3,)))
@@ -307,19 +359,16 @@ def edge_ids(g: DegenerationGraph) -> set[tuple[str, str]]:
     return {(g.nodes[i].id(), g.nodes[j].id()) for i, j in g.edges}
 
 
-def closure(g: DegenerationGraph) -> list[list[bool]]:
-    size = len(g.nodes)
-    reach = [[i == j for j in range(size)] for i in range(size)]
+def closure(g: DegenerationGraph) -> list[int]:
+    """Reflexive-transitive closure as bit rows: j is reachable from i
+    exactly when bit j of row i is set."""
+    reach = [1 << i for i in range(len(g.nodes))]
     for i, j in g.edges:
-        reach[i][j] = True
-    for k in range(size):
-        for i in range(size):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
+        reach[i] |= 1 << j
+    for k, row_k in enumerate(reach):
+        for i, row_i in enumerate(reach):
+            if row_i >> k & 1:
+                reach[i] = row_i | row_k
     return reach
 
 
@@ -340,15 +389,16 @@ class TestDegenerationGraph:
             g = degeneration_graph(n, m)
             reach = closure(g)
             for i, j in g.edges:
-                assert not reach[j][i]
+                assert not reach[j] >> i & 1
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_closure_equals_degeneration_order(self, n):
-        g = degeneration_graph(n, n)
-        reach = closure(g)
-        for i, s in enumerate(g.nodes):
-            for j, t in enumerate(g.nodes):
-                assert reach[i][j] == degenerates_class(s, t), (s.id(), t.id())
+        for m in range(1, n + 1):
+            g = degeneration_graph(n, m)
+            reach = closure(g)
+            for i, s in enumerate(g.nodes):
+                for j, t in enumerate(g.nodes):
+                    assert bool(reach[i] >> j & 1) == degenerates_class(s, t), (m, s.id(), t.id())
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_partial_order(self, n):
@@ -413,6 +463,21 @@ class TestYoungSlice:
     def test_bad_diagram(self):
         with pytest.raises(ValueError):
             young_diagram_slice(9, 9, (3, 3))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_edges_are_in_diagram_elementary_moves(self, n):
+        # oracle: every elementary move of a slice node whose target keeps the diagram
+        for m in range(1, n + 1):
+            for shape in partitions_of_int(n):
+                g = young_diagram_slice(n, m, shape)
+                index = {s.young(): i for i, s in enumerate(g.nodes)}
+                expected = {
+                    (i, index[t.young()])
+                    for i, s in enumerate(g.nodes)
+                    for t in elementary_moves(s)
+                    if t.young() in index
+                }
+                assert set(g.edges) == expected, (m, shape)
 
 
 # support-reduced node quivers of the full-level n=3 graph: id -> (dims, arrows)
