@@ -13,18 +13,15 @@ from .combinat import (
     parse_dim_vector,
     parse_subset,
     subset_str,
-    sym_diff,
 )
 from .freeprod import (
     CharacterMultiset,
     Rep2Component,
-    build_M_alpha,
     build_one_quiver,
     build_Qn,
-    canonicalize_characters,
+    chain_of,
     component_count,
     components,
-    dimvector_of_characters,
     is_iss_smooth,
     is_simple_alpha,
     is_simple_alpha_oracle,

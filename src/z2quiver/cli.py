@@ -36,6 +36,7 @@ from .localquiver import (
     local_quiver,
     setting_json_obj,
     smooth_point,
+    young_diagram_slice,
 )
 from .quiver import Quiver, support
 
@@ -129,15 +130,14 @@ def cmd_graph(args) -> int:
 
 
 def cmd_local(args) -> int:
-    settings = enumerate_settings(args.n, args.m)
     if args.young:
         try:
-            shape = tuple(sorted((int(x) for x in args.young.split(",")), reverse=True))
+            shape = tuple(int(x) for x in args.young.split(","))
         except ValueError:
             raise ValueError(f"--young wants comma-separated row lengths, got {args.young!r}")
-        if sum(shape) != args.n:
-            raise ValueError(f"diagram {args.young!r} does not partition n={args.n}")
-        settings = [s for s in settings if s.sizes == shape]
+        settings = young_diagram_slice(args.n, args.m, shape).nodes
+    else:
+        settings = enumerate_settings(args.n, args.m)
     if args.format == "json":
         print(json.dumps([setting_json_obj(s) for s in settings], indent=2))
     else:

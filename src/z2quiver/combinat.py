@@ -67,13 +67,6 @@ def parse_subset(text: str, n: int | None = None) -> int:
     return mask
 
 
-def sym_diff(a: int, b: int, n: int) -> int:
-    """Symmetric difference (A u B) \\ (A n B) of two subsets of {1..n}."""
-    check_subset(a, n)
-    check_subset(b, n)
-    return a ^ b
-
-
 def multiset_coeff(k: int, n: int) -> int:
     """Number of size-n multisets drawn from k symbols: C(k+n-1, n)."""
     if k < 0 or n < 0:

@@ -129,13 +129,13 @@ class CharacterMultiset:
     def degree(self) -> int:
         return sum(c for _, c in self.counts)
 
+    def _minus_counts(self) -> list[int]:
+        """a_i- for each i: the total multiplicity of the characters containing i."""
+        return [sum(c for a, c in self.counts if a >> i & 1) for i in range(self.n)]
+
     def dim_vector(self) -> DimVector:
         total = self.degree()
-        pairs = []
-        for i in range(self.n):
-            minus = sum(c for a, c in self.counts if a >> i & 1)
-            pairs.append((total - minus, minus))
-        return DimVector(tuple(pairs))
+        return DimVector(tuple((total - minus, minus) for minus in self._minus_counts()))
 
     def is_chain(self) -> bool:
         masks = [a for a, _ in self.counts]
@@ -144,28 +144,16 @@ class CharacterMultiset:
         )
 
     def canonical(self) -> "CharacterMultiset":
-        """Chain normal form: replace any incomparable pair {A, B} by
-        {A u B, A n B} until the support is totally ordered by inclusion.
-        The result does not depend on the rewrite order."""
-        counts = dict(self.counts)
-        while True:
-            masks = sorted(counts)
-            hit = None
-            for a, b in itertools.combinations(masks, 2):
-                meet = a & b
-                if meet != a and meet != b:
-                    hit = (a, b)
-                    break
-            if hit is None:
-                break
-            a, b = hit
-            for x in (a, b):
-                counts[x] -= 1
-                if not counts[x]:
-                    del counts[x]
-            for x in (a | b, a & b):
-                counts[x] = counts.get(x, 0) + 1
-        return CharacterMultiset.from_dict(self.n, counts)
+        """Chain normal form: the sum S_1 + ... + S_d with S_t = {i : a_i- >= t},
+        d the degree and a_i- the minus counts of this sum.
+
+        This is the normal form of the rewrite A + B -> (A u B) + (A n B),
+        which ends once the support is totally ordered by inclusion: every
+        step keeps the degree and each a_i-, and a chain is fixed by them,
+        since i must lie in exactly its a_i- largest summands.  So the
+        result does not depend on the rewrite order, and it is computed in
+        closed form without rewriting."""
+        return _chain(self.n, self._minus_counts(), self.degree())
 
     def __str__(self) -> str:
         terms = []
@@ -186,6 +174,8 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
             if not tail.strip().isdigit():
                 raise ValueError(f"bad multiplicity in {text!r}")
             mult = int(tail)
+            if mult < 1:
+                raise ValueError(f"multiplicities must be >= 1 in {text!r}")
         mask = parse_subset(term, n)
         top = max(top, mask.bit_length())
         counts[mask] = counts.get(mask, 0) + mult
@@ -196,35 +186,34 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
     return CharacterMultiset.from_dict(n, counts)
 
 
-def canonicalize_characters(c: CharacterMultiset) -> CharacterMultiset:
-    return c.canonical()
+def _chain(n: int, minus: list[int], degree: int) -> CharacterMultiset:
+    """The chain sum of S_t = {i : minus_i >= t} for t = 1..degree.  S_t only
+    changes where t passes a value of minus, so walking the indices by
+    minus descending gives each distinct S_t with its multiplicity in
+    O(n log n) steps, whatever the degree."""
+    counts: dict[int, int] = {}
+    mask, top = 0, degree
+    for value, i in sorted(((v, i) for i, v in enumerate(minus) if v), reverse=True):
+        if value < top:
+            counts[mask] = top - value  # S_t for value < t <= top
+            top = value
+        mask |= 1 << i
+    counts[mask] = top
+    return CharacterMultiset.from_dict(n, counts)
 
 
-def dimvector_of_characters(c: CharacterMultiset) -> DimVector:
-    return c.dim_vector()
+def chain_of(alpha: DimVector) -> CharacterMultiset:
+    """The chain of characters S_1 + ... + S_m with S_t = {i : a_i- >= t}.
 
-
-def build_M_alpha(alpha: DimVector) -> CharacterMultiset:
-    """The canonical semisimple point of a component: with alpha sorted so
-    that a_1+ >= ... >= a_n+ >= a_n- >= ... >= a_1-, the sum of the empty
-    character a_n+ times, the tail sets {i+1..n} with multiplicity
-    a_i+ - a_{i+1}+, and the full set a_1- times."""
+    It has dimension vector alpha, since i lies in exactly a_i- of the S_t,
+    and it is the only chain that does, so it is the chain normal form
+    (CharacterMultiset.canonical) of every character sum in the component.
+    For a canonical alpha it is the canonical semisimple point M_alpha:
+    the empty character a_n+ times, the tail sets {i+1..n} with
+    multiplicity a_i+ - a_{i+1}+, and the full set a_1- times."""
     if alpha.m < 1:
         raise ValueError("level must be >= 1")
-    if not alpha.is_canonical():
-        raise ValueError("alpha must be in canonical order; call canonical() first")
-    n = alpha.n
-    plus = [p for p, _ in alpha.pairs]
-    counts: dict[int, int] = {}
-    if plus[-1]:
-        counts[0] = plus[-1]
-    for i in range(1, n):  # subset {i+1..n} <-> bits i..n-1
-        mult = plus[i - 1] - plus[i]
-        if mult:
-            counts[full_mask(n) ^ full_mask(i)] = mult
-    if alpha.pairs[0][1]:
-        counts[full_mask(n)] = alpha.pairs[0][1]
-    return CharacterMultiset.from_dict(n, counts)
+    return _chain(alpha.n, [minus for _, minus in alpha.pairs], alpha.m)
 
 
 def is_simple_alpha(alpha: DimVector) -> bool:
@@ -262,15 +251,20 @@ def simple_alpha_report(alpha: DimVector) -> tuple[bool, list[str]]:
 
 
 def is_simple_alpha_oracle(alpha: DimVector) -> bool:
-    """Independent route: test the multiplicity vector of the canonical
-    semisimple point on the character quiver."""
+    """Independent route: test the multiplicities of chain_of(alpha) on the
+    full subquiver of the character quiver spanned by its <= n+1
+    characters, with max(|A delta B| - 1, 0) arrows between A and B.
+
+    A character sum with dimension vector alpha is a semisimple point of
+    the component, and its local quiver is the full subquiver of the
+    character quiver on its support; the component has simples exactly
+    when that setting has a simple dimension vector.  Working on the
+    support alone never builds the 4**n matrix of build_one_quiver."""
     if alpha.m < 1:
         raise ValueError("the zero dimension vector has no representations")
-    chars = build_M_alpha(alpha.canonical())
-    beta = [0] * (1 << alpha.n)
-    for mask, mult in chars.counts:
-        beta[mask] = mult
-    return is_simple_dimvector(build_one_quiver(alpha.n), beta)
+    masks, beta = zip(*chain_of(alpha).counts)
+    arrows = [[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]
+    return is_simple_dimvector(Quiver(arrows), beta)
 
 
 def iss_dim(alpha: DimVector) -> int:

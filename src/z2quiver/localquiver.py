@@ -102,28 +102,35 @@ def _representative_blocks(n: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(blocks)
 
 
-def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
-    """Canonical representatives of all settings up to ground-set
-    permutation, sorted with the whole-block, maximal-k node first."""
+def _check_level(n: int, m: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(
             f"(m-1,1)^n admits no simple representations for m > n; got n={n}, m={m}"
         )
     if n > MAX_ENUM_GROUND:
         raise ValueError(f"setting enumeration is capped at n <= {MAX_ENUM_GROUND}")
-    out: list[LocalSetting] = []
-    for sizes in partitions_of_int(n):
-        blocks = _representative_blocks(n, sizes)
-        per_class: list[list[tuple[int, ...]]] = []
-        for size, group in itertools.groupby(sizes):
-            mu = len(list(group))
-            per_class.append(
-                [ks for ks in itertools.combinations_with_replacement(range(size, 0, -1), mu)]
-            )
-        for choice in itertools.product(*per_class):
-            ks = tuple(k for ks in choice for k in ks)
-            if sum(ks) <= m:
-                out.append(LocalSetting(n, m, blocks, ks))
+
+
+def _diagram_settings(n: int, m: int, sizes: tuple[int, ...]) -> Iterator[LocalSetting]:
+    """Canonical representatives of the settings on one Young diagram
+    (sizes weakly decreasing): one weakly decreasing k-multiset per row
+    class, kept when sum k <= m."""
+    blocks = _representative_blocks(n, sizes)
+    per_class = [
+        list(itertools.combinations_with_replacement(range(size, 0, -1), len(list(group))))
+        for size, group in itertools.groupby(sizes)
+    ]
+    for choice in itertools.product(*per_class):
+        ks = tuple(k for ks in choice for k in ks)
+        if sum(ks) <= m:
+            yield LocalSetting(n, m, blocks, ks)
+
+
+def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
+    """Canonical representatives of all settings up to ground-set
+    permutation, sorted with the whole-block, maximal-k node first."""
+    _check_level(n, m)
+    out = [s for sizes in partitions_of_int(n) for s in _diagram_settings(n, m, sizes)]
     out.sort(key=lambda s: s.young().sort_key())
     return out
 
@@ -313,11 +320,14 @@ def degeneration_graph(n: int, m: int) -> DegenerationGraph:
 
 def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationGraph:
     """The induced subgraph on the settings of one Young diagram (all
-    in-diagram moves are k-lowerings; splits leave the diagram)."""
+    in-diagram moves are k-lowerings; splits leave the diagram).  Only that
+    diagram's settings are built; they keep their order in
+    enumerate_settings."""
+    _check_level(n, m)
     shape = tuple(sorted(sizes, reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
         raise ValueError(f"{sizes} is not a diagram of {n}")
-    nodes = [s for s in enumerate_settings(n, m) if s.sizes == shape]
+    nodes = sorted(_diagram_settings(n, m, shape), key=lambda s: s.young().sort_key())
     index = {s.young(): i for i, s in enumerate(nodes)}
     edges = {(i, index[t.young()]) for i, s in enumerate(nodes) for t in _k_lowerings(s)}
     return DegenerationGraph(n, m, tuple(nodes), tuple(sorted(edges)))

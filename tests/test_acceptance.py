@@ -16,7 +16,6 @@ from z2quiver.combinat import DimVector, bn_canonicalize
 from z2quiver.freeprod import (
     CharacterMultiset,
     build_one_quiver,
-    canonicalize_characters,
     component_count,
     components,
     is_iss_smooth,
@@ -288,12 +287,12 @@ def test_criterion_10_semigroup():
                     assert snapshot.degree() == cm.degree()
                     assert snapshot.dim_vector() == cm.dim_vector()
                 endpoints.append(CharacterMultiset.from_dict(n, state))
-            assert endpoints[0] == endpoints[1] == canonicalize_characters(cm)
+            assert endpoints[0] == endpoints[1] == cm.canonical()
         forms = set()
         for a in range(8):
             for b in range(a, 8):
                 cm = CharacterMultiset.from_dict(3, Counter((a, b)))
-                forms.add(canonicalize_characters(cm))
+                forms.add(cm.canonical())
         assert len(forms) == 27
 
     report(10, "semigroup normal form", body)

@@ -111,8 +111,12 @@ class TestLocal:
         assert [node["id"] for node in obj][0] == "(3),(3)"
 
     def test_bad_young(self, capsys):
-        code = main(["local", "--n", "4", "--m", "4", "--young", "3,3"])
-        assert code == 1
+        # a wrong sum, a zero row and a negative row are all refused
+        for young, n in (("3,3", "4"), ("3,0", "3"), ("4,-1", "3")):
+            code = main(["local", "--n", n, "--m", n, "--young", young])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "", young
+            assert "not a diagram" in captured.err, young
 
 
 def fifty_alpha_specs() -> list[DimVector]:
@@ -229,6 +233,17 @@ class TestCanon:
     def test_chain_unchanged(self, capsys):
         code, out = run(capsys, "canon", "--chars", "{}^2+{1,2,3}")
         assert code == 0 and out.splitlines()[0] == "{}^2+{1,2,3}"
+
+    def test_huge_multiplicities(self, capsys):
+        code, out = run(capsys, "canon", "--chars", "{1}^1000000000+{2}^1000000000", "--n", "2")
+        assert code == 0
+        assert out.splitlines() == ["{}^1000000000+{1,2}^1000000000", "alpha: 1000000000,1000000000;1000000000,1000000000"]
+
+    def test_zero_multiplicity_refused(self, capsys):
+        code = main(["canon", "--chars", "{1}^0+{2}", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "multiplicities must be >= 1" in captured.err
 
 
 class TestUsageErrors:

@@ -19,7 +19,6 @@ from z2quiver.combinat import (
     parse_subset,
     partitions_of_int,
     subset_str,
-    sym_diff,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -29,43 +28,9 @@ def mask(*elements: int) -> int:
     return sum(1 << (e - 1) for e in elements)
 
 
-class TestSymDiff:
-    def test_definition(self):
-        assert sym_diff(mask(1, 2), mask(2, 3), 3) == mask(1, 3)
-
-    def test_self_cancellation(self):
-        for a in range(8):
-            assert sym_diff(a, a, 3) == 0
-
-    def test_identity(self):
-        for a in range(8):
-            assert sym_diff(a, 0, 3) == a
-
-    def test_ground_set_mismatch(self):
-        with pytest.raises(ValueError):
-            sym_diff(mask(3), mask(1), 2)
-
-    def test_commutative_and_cardinality_exhaustive(self):
-        n = 8
-        for a in range(1 << n):
-            for b in range(1 << n):
-                d = sym_diff(a, b, n)
-                assert d == sym_diff(b, a, n)
-                assert d.bit_count() == a.bit_count() + b.bit_count() - 2 * (a & b).bit_count()
-
-    def test_associative_exhaustive_small(self):
-        n = 4
-        for a, b, c in itertools.product(range(1 << n), repeat=3):
-            assert sym_diff(sym_diff(a, b, n), c, n) == sym_diff(a, sym_diff(b, c, n), n)
-
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    def test_associative_random(self, a, b, c):
-        n = 8
-        assert sym_diff(sym_diff(a, b, n), c, n) == sym_diff(a, sym_diff(b, c, n), n)
-
-    def test_subset_str_roundtrip(self):
-        for a in range(16):
-            assert parse_subset(subset_str(a), 4) == a
+def test_subset_str_roundtrip():
+    for a in range(16):
+        assert parse_subset(subset_str(a), 4) == a
 
 
 def brute_multiset(k: int, n: int) -> int:

@@ -6,16 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from z2quiver.combinat import DimVector, bn_canonicalize, full_mask
+from z2quiver import freeprod
+from z2quiver.combinat import DimVector, full_mask
 from z2quiver.freeprod import (
     CharacterMultiset,
-    build_M_alpha,
     build_one_quiver,
     build_Qn,
-    canonicalize_characters,
+    chain_of,
     component_count,
     components,
-    dimvector_of_characters,
     is_iss_smooth,
     is_simple_alpha,
     is_simple_alpha_oracle,
@@ -150,6 +149,13 @@ def random_multiset(rng: random.Random) -> CharacterMultiset:
     return CharacterMultiset.from_dict(n, counts)
 
 
+def random_weighted_multiset(rng: random.Random) -> CharacterMultiset:
+    # up to five terms over n <= 7, multiplicities up to 30 each
+    n = rng.randint(1, 7)
+    counts = {rng.randrange(1 << n): rng.randint(1, 30) for _ in range(rng.randint(1, 5))}
+    return CharacterMultiset.from_dict(n, counts)
+
+
 def rewrite_randomly(cm: CharacterMultiset, rng: random.Random) -> CharacterMultiset:
     # independent rewriter used as the confluence oracle: random pair order,
     # checking degree and the induced dimension vector at every step
@@ -177,14 +183,27 @@ def rewrite_randomly(cm: CharacterMultiset, rng: random.Random) -> CharacterMult
     return CharacterMultiset.from_dict(cm.n, counts)
 
 
+def m_alpha_tail_sets(alpha: DimVector) -> CharacterMultiset:
+    # the paper's canonical semisimple point of a canonical alpha, built by
+    # hand: the empty set a_n+ times, the tail set {i+1..n} a_i+ - a_{i+1}+
+    # times and the full set a_1- times
+    n = alpha.n
+    plus = [p for p, _ in alpha.pairs]
+    counts = {0: plus[-1], full_mask(n): alpha.pairs[0][1]}
+    for i in range(1, n):
+        tail = full_mask(n) ^ full_mask(i)
+        counts[tail] = plus[i - 1] - plus[i]
+    return CharacterMultiset.from_dict(n, counts)
+
+
 class TestCharacters:
     def test_relation_example(self):
         c = parse_characters("{1}+{2}", 3)
-        assert str(canonicalize_characters(c)) == "{}+{1,2}"
+        assert str(c.canonical()) == "{}+{1,2}"
 
     def test_chain_fixed_point(self):
         c = parse_characters("{}^2+{1}+{1,2,3}", 3)
-        assert canonicalize_characters(c) == c
+        assert c.canonical() == c
 
     def test_canonical_count_degree2_n3(self):
         # number of distinct normal forms of degree 2 equals (m+1)^n = 27
@@ -192,7 +211,7 @@ class TestCharacters:
         for a in range(8):
             for b in range(a, 8):
                 cm = CharacterMultiset.from_dict(3, Counter((a, b)))
-                forms.add(canonicalize_characters(cm))
+                forms.add(cm.canonical())
         assert len(forms) == 27
 
     def test_confluence_200_schedules(self):
@@ -201,11 +220,23 @@ class TestCharacters:
             cm = random_multiset(rng)
             one = rewrite_randomly(cm, random.Random(1000 + case))
             two = rewrite_randomly(cm, random.Random(5000 + case))
-            lib = canonicalize_characters(cm)
+            lib = cm.canonical()
             assert one == two == lib
             assert lib.is_chain()
             assert lib.degree() == cm.degree()
             assert lib.dim_vector() == cm.dim_vector()
+
+    def test_closed_form_matches_rewrite_with_multiplicities(self):
+        rng = random.Random(5000)
+        for case in range(300):
+            cm = random_weighted_multiset(rng)
+            want = rewrite_randomly(cm, random.Random(case))
+            assert cm.canonical() == want == chain_of(cm.dim_vector()), str(cm)
+
+    def test_huge_multiplicities(self):
+        big = 10**9
+        c = parse_characters(f"{{1}}^{big}+{{2}}^{big}", 2)
+        assert dict(c.canonical().counts) == {0: big, 3: big}
 
     def test_parse_multiplicities(self):
         c = parse_characters("{}^2+{1,2,3}")
@@ -215,29 +246,32 @@ class TestCharacters:
         with pytest.raises(ValueError):
             parse_characters("{}^2")
 
+    @pytest.mark.parametrize("text", ["{1}^0+{2}", "{1}^00", "{2}+{1}^0"])
+    def test_parse_zero_multiplicity_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_characters(text, 2)
+
 
 class TestMAlpha:
     def test_standard_33(self):
-        chars = build_M_alpha(DimVector.standard(3, 3))
+        chars = chain_of(DimVector.standard(3, 3))
         assert dict(chars.counts) == {0: 2, 7: 1}
 
     def test_trivial(self):
-        chars = build_M_alpha(DimVector(((1, 0),) * 4))
+        chars = chain_of(DimVector(((1, 0),) * 4))
         assert dict(chars.counts) == {0: 1}
 
-    def test_unsorted_rejected(self):
+    def test_zero_level_rejected(self):
         with pytest.raises(ValueError):
-            build_M_alpha(DimVector(((1, 2), (2, 1))))
+            chain_of(DimVector(((0, 0), (0, 0))))
 
     def test_character_sums(self):
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randint(1, 5)
             m = rng.randint(1, 6)
-            alpha = bn_canonicalize(
-                DimVector(tuple((p, m - p) for p in (rng.randint(0, m) for _ in range(n))))
-            )
-            chars = build_M_alpha(alpha)
+            alpha = DimVector(tuple((p, m - p) for p in (rng.randint(0, m) for _ in range(n))))
+            chars = chain_of(alpha)
             for i in range(n):
                 trace = sum(
                     mult * (-1 if a >> i & 1 else 1) for a, mult in chars.counts
@@ -248,8 +282,11 @@ class TestMAlpha:
     @pytest.mark.parametrize("m", range(1, 5))
     def test_round_trip(self, n, m):
         for alpha in components(n, m):
+            chars = chain_of(alpha)
+            assert chars.dim_vector() == alpha
+            assert chars.is_chain()
             c = alpha.canonical()
-            assert dimvector_of_characters(build_M_alpha(c)) == c
+            assert chain_of(c) == m_alpha_tail_sets(c)
 
 
 class TestSimpleAlpha:
@@ -318,6 +355,19 @@ class TestSimpleAlpha:
             )
             assert is_simple_alpha(near)
             assert is_simple_alpha_oracle(near)
+
+    def test_oracle_reads_only_the_support(self, monkeypatch):
+        # the oracle must never build the 4**n character-quiver matrix
+        def refuse(n):
+            raise AssertionError(f"build_one_quiver({n}) called")
+
+        monkeypatch.setattr(freeprod, "build_one_quiver", refuse)
+        rng = random.Random(1316)
+        for n in range(13, 17):
+            for _ in range(25):
+                m = rng.randint(1, 8)
+                alpha = DimVector(tuple((p, m - p) for p in (rng.randint(0, m) for _ in range(n))))
+                assert is_simple_alpha_oracle(alpha) == is_simple_alpha(alpha), str(alpha)
 
     def test_oracle_equivalence_random_high_level(self):
         # beyond the exhaustive window: random vectors at levels 5..7

@@ -461,8 +461,18 @@ class TestYoungSlice:
         assert len(young_diagram_slice(9, 9, (3, 3, 3)).nodes) == count_settings_for_young(((3, 3),))
 
     def test_bad_diagram(self):
-        with pytest.raises(ValueError):
-            young_diagram_slice(9, 9, (3, 3))
+        # a wrong sum, nonpositive rows, m > n and n past MAX_ENUM_GROUND
+        for n, m, sizes in ((9, 9, (3, 3)), (3, 3, (3, 0)), (3, 3, (4, -1)), (3, 4, (3,)), (10, 10, (10,))):
+            with pytest.raises(ValueError):
+                young_diagram_slice(n, m, sizes)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nodes_are_the_filtered_enumeration(self, n):
+        # oracle: the slice's nodes, in order, are enumerate_settings filtered to the diagram
+        for m in range(1, n + 1):
+            settings = enumerate_settings(n, m)
+            for shape in partitions_of_int(n):
+                assert young_diagram_slice(n, m, shape).nodes == tuple(s for s in settings if s.sizes == shape)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_edges_are_in_diagram_elementary_moves(self, n):
