@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -22,7 +23,6 @@ from .freeprod import (
     is_iss_smooth,
     iss_dim,
     one_quiver_euler_closed,
-    orbit_count,
     orbit_representatives,
     parse_characters,
     rep2_census,
@@ -44,17 +44,25 @@ from .quiver import Quiver, support
 def format_matrix(m: np.ndarray) -> str:
     if m.size == 0:
         return ""
-    width = max(len(str(int(x))) for x in m.flat)
-    return "\n".join(" ".join(str(int(x)).rjust(width) for x in row) for row in m)
+    width = max(len(str(m.min())), len(str(m.max())))
+    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in m.tolist())
+
+
+def write_json(obj) -> None:
+    """Write json.dumps(obj, indent=2) and a newline to stdout in batches of
+    encoder chunks, so the whole text is never held in memory at once."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def quiver_dot(q: Quiver, labels: list[str], name: str = "quiver") -> str:
     lines = [f"digraph {name} {{"]
     for i, label in enumerate(labels):
         lines.append(f'  v{i} [label="{label}"];')
-    for i in range(q.v):
-        for j in range(q.v):
-            k = int(q.arrows[i, j])
+    for i, row in enumerate(q.arrows.tolist()):
+        for j, k in enumerate(row):
             if k:
                 lines.append(f'  v{i} -> v{j} [label="{k}"];')
     lines.append("}")
@@ -84,11 +92,12 @@ def _setting_text(s) -> str:
 
 def cmd_components(args) -> int:
     count = component_count(args.n, args.m)
+    reps = orbit_representatives(args.n, args.m) if args.orbits else []
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if args.orbits:
             writer.writerow(["alpha"])
-            for rep in orbit_representatives(args.n, args.m):
+            for rep in reps:
                 writer.writerow([str(rep)])
         else:
             writer.writerow(["n", "m", "components"])
@@ -96,18 +105,19 @@ def cmd_components(args) -> int:
         return 0
     print(count)
     if args.orbits:
-        print(orbit_count(args.n, args.m))
-        for rep in orbit_representatives(args.n, args.m):
+        print(len(reps))
+        for rep in reps:
             print(str(rep))
     return 0
 
 
 def cmd_one_quiver(args) -> int:
-    q = build_one_quiver(args.n)
     if args.format == "matrix":
         print(format_matrix(one_quiver_euler_closed(args.n)))
-    elif args.format == "json":
-        print(json.dumps(q.to_json_obj(), indent=2))
+        return 0
+    q = build_one_quiver(args.n)
+    if args.format == "json":
+        write_json(q.to_json_obj())
     else:
         labels = [subset_str(a) for a in range(q.v)]
         sys.stdout.write(quiver_dot(q, labels, name="one_quiver"))
@@ -117,7 +127,7 @@ def cmd_one_quiver(args) -> int:
 def cmd_graph(args) -> int:
     g = degeneration_graph(args.n, args.m)
     if args.format == "json":
-        print(json.dumps(graph_json_obj(g), indent=2))
+        write_json(graph_json_obj(g))
     elif args.format == "dot":
         sys.stdout.write(graph_dot(g))
     else:
@@ -139,7 +149,7 @@ def cmd_local(args) -> int:
     else:
         settings = enumerate_settings(args.n, args.m)
     if args.format == "json":
-        print(json.dumps([setting_json_obj(s) for s in settings], indent=2))
+        write_json([setting_json_obj(s) for s in settings])
     else:
         for s in settings:
             print(_setting_text(s))

@@ -192,9 +192,6 @@ class DimVector:
     def canonical(self) -> "DimVector":
         return bn_canonicalize(self)
 
-    def is_canonical(self) -> bool:
-        return self == bn_canonicalize(self)
-
     def flat(self) -> tuple[int, ...]:
         """(a_1+, a_1-, a_2+, a_2-, ...) matching the 2n-vertex quiver order."""
         return tuple(x for p in self.pairs for x in p)

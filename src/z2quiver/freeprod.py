@@ -26,7 +26,12 @@ from .combinat import (
     parse_subset,
     subset_str,
 )
-from .quiver import Quiver, UnsupportedInputError, is_simple_dimvector
+from .quiver import Quiver, is_simple_dimvector
+
+# Most pairs, orbit count times n, that orbit_representatives lists.
+MAX_ORBIT_PAIRS = 10**6
+# Largest n whose 2**n x 2**n character-quiver matrices are built.
+MAX_ONE_QUIVER_GROUND = 12
 
 
 def build_Qn(n: int) -> Quiver:
@@ -56,43 +61,73 @@ def components(n: int, m: int) -> Iterator[DimVector]:
 
 
 def orbit_count(n: int, m: int) -> int:
-    """Components up to signed pair permutations: C(m/2+n, n) for even m,
-    C((m-1)/2+n, n) for odd m."""
+    """Components up to signed pair permutations: C(floor(m/2)+n, n)."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    if m % 2 == 0:
-        return math.comb(m // 2 + n, n)
-    return math.comb((m - 1) // 2 + n, n)
+    return math.comb(m // 2 + n, n)
 
 
 def orbit_representatives(n: int, m: int) -> list[DimVector]:
-    """Canonical representatives of the component orbits, sorted."""
-    return sorted({alpha.canonical() for alpha in components(n, m)})
+    """Canonical representatives of the component orbits, sorted.
+
+    The canonical form m >= a_1+ >= ... >= a_n+ >= m/2 of bn_canonicalize
+    is one multiset of n values a_i+ drawn from ceil(m/2)..m, so the
+    representatives are listed from those multisets, one per orbit.
+
+    Refuses with ValueError, before building any list, an answer of more
+    than MAX_ORBIT_PAIRS pairs, orbit_count(n, m) * n in all.  That count,
+    C(small + big, small) with {small, big} = {n, m // 2}, is built up one
+    factor at a time and stops once past the limit, so a huge n or m costs
+    no more than a small one."""
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    small, big = sorted((n, m // 2))
+    count = 1
+    for i in range(1, small + 1):
+        if count * n > MAX_ORBIT_PAIRS:
+            break
+        count = count * (big + i) // i
+    if count * n > MAX_ORBIT_PAIRS:
+        raise ValueError(f"more than {MAX_ORBIT_PAIRS} pairs in the orbit representatives of n={n}, m={m}")
+    return sorted(
+        DimVector(tuple((p, m - p) for p in plus))
+        for plus in itertools.combinations_with_replacement(range(m, (m - 1) // 2, -1), n)
+    )
+
+
+def _check_one_quiver(n: int) -> None:
+    """The character-quiver matrices hold 4**n int64 cells (128 MiB at
+    n = 12), so they refuse n > MAX_ONE_QUIVER_GROUND up front."""
+    check_ground(n)
+    if n > MAX_ONE_QUIVER_GROUND:
+        raise ValueError(f"the character quiver is built for n <= {MAX_ONE_QUIVER_GROUND}, got {n}")
 
 
 @lru_cache(maxsize=None)
 def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
-    no loops."""
-    check_ground(n)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    dist = np.bitwise_count(np.bitwise_xor.outer(masks, masks)).astype(np.int64)
-    return Quiver(np.maximum(dist - 1, 0))
+    no loops.  The arrows are max(-E, 0) for the Euler matrix E, since E
+    has 1 on the diagonal and 1 - |A delta B| off it."""
+    arrows = one_quiver_euler_closed(n)
+    np.negative(arrows, out=arrows)
+    np.maximum(arrows, 0, out=arrows)
+    return Quiver(arrows)
 
 
 def one_quiver_euler_closed(n: int) -> np.ndarray:
     """Euler matrix of the character quiver via the closed form 1 - |A delta B|."""
-    check_ground(n)
+    _check_one_quiver(n)
     masks = np.arange(1 << n, dtype=np.uint32)
-    dist = np.bitwise_count(np.bitwise_xor.outer(masks, masks)).astype(np.int64)
-    return 1 - dist
+    euler = np.bitwise_count(np.bitwise_xor.outer(masks, masks)).astype(np.int64)
+    np.subtract(1, euler, out=euler)
+    return euler
 
 
 def one_quiver_euler_recursive(n: int) -> np.ndarray:
     """Same matrix built by doubling: M_0 = [1] and
     M_j = [[M_{j-1}, M_{j-1}-P], [M_{j-1}-P, M_{j-1}]] with P all ones."""
-    check_ground(n)
+    _check_one_quiver(n)
     m = np.array([[1]], dtype=np.int64)
     for _ in range(n):
         shifted = m - np.ones_like(m)
@@ -321,87 +356,44 @@ def rep2_census(n: int) -> Iterator[Rep2Component]:
 
 
 def treelike_census(n: int) -> dict[str, int]:
-    """Classify every connected tree-like full subquiver of the character
-    quiver, exhaustively over all vertex subsets.
+    """Count the connected tree-like full subquivers of the character
+    quiver by type, in the order I, II(k), III(k), IV with k ascending.
 
     Types: I a single vertex; II(k) a pair joined by k arrows each way;
     III(k) a 3-chain with multiplicities k and k-1; IV the 4-chain with
-    multiplicities 1, 2, 1.  Returns instance counts per type label.
+    multiplicities 1, 2, 1.  The counts are closed forms, valid for every n:
+
+        I = 2^n
+        II(k) = 2^(n-1) C(n, k+1)       for 1 <= k <= n-1
+        III(k) = n 2^n C(n-1, k)        for 2 <= k <= n-1
+        IV = 3 2^n C(n, 3)
+
+    Types with no instance are left out.
+
+    Proof.  Characters A and B are joined by |A delta B| - 1 arrows each
+    way, so two vertices with no arrow between them lie at Hamming
+    distance 1.  The hypercube has no triangles, so a tree here has no
+    three pairwise non-adjacent vertices.  A tree is bipartite, so one on
+    v vertices has ceil(v/2) of them: v <= 4, and the star K(1,3) is out.
+    What is left are paths on at most four vertices:
+      * I counts the vertices and II(k) the pairs at distance k+1 >= 2.
+      * A 3-path A - C - B has its ends at distance 1, B = A delta {i}.  With
+        S = C delta A, the two arrow multiplicities are |S| - 1 and
+        |S delta {i}| - 1, so the path is III(k) with k = |S - {i}| >= 2.
+        It is fixed by the pair {A, B}, by k elements from the other n-1,
+        and by whether i lies in S: n 2^(n-1) * C(n-1, k) * 2.
+      * A 4-path v1 - v2 - v3 - v4 has its three non-adjacent pairs at
+        distance 1: v3 = v1 delta {a}, v4 = v1 delta {b}, v2 = v4 delta {c}.
+        Its arrows need a, b distinct, b, c distinct and a, c distinct, so
+        the multiplicities are 1, 2, 1.  It is fixed by v1 and the ordered
+        (a, b, c), and read from either end: 2^n n(n-1)(n-2) / 2.
     """
-    if not isinstance(n, int) or not 2 <= n <= 4:
-        raise UnsupportedInputError(f"exhaustive subset search is only feasible for 2 <= n <= 4, got {n!r}")
-    nv = 1 << n
-    mult = [[max((i ^ j).bit_count() - 1, 0) for j in range(nv)] for i in range(nv)]
-    adj = [sum(1 << j for j in range(nv) if mult[i][j]) for i in range(nv)]
-
-    counts: dict[str, int] = {}
-    for smask in range(1, 1 << nv):
-        verts = [i for i in range(nv) if smask >> i & 1]
-        sz = len(verts)
-        edges = []
-        ok = True
-        for a, b in itertools.combinations(verts, 2):
-            if mult[a][b]:
-                edges.append((a, b))
-                if len(edges) > sz - 1:
-                    ok = False
-                    break
-        if not ok or len(edges) != sz - 1:
-            continue
-        # connectivity via bitmask flood fill
-        reached = 1 << verts[0]
-        while True:
-            grown = reached
-            for i in verts:
-                if reached >> i & 1:
-                    grown |= adj[i] & smask
-            if grown == reached:
-                break
-            reached = grown
-        if reached != smask:
-            continue
-        label = _classify_treelike(verts, edges, mult)
-        counts[label] = counts.get(label, 0) + 1
-    return dict(sorted(counts.items(), key=_treelike_sort_key))
-
-
-def _classify_treelike(verts, edges, mult) -> str:
-    if len(verts) == 1:
-        return "I"
-    if len(verts) == 2:
-        return f"II({mult[edges[0][0]][edges[0][1]]})"
-    deg = {v: 0 for v in verts}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    if sorted(deg.values()) != [1, 1] + [2] * (len(verts) - 2):
-        raise RuntimeError(f"tree-like subquiver on {verts} is not a chain")
-    # walk the path from one end and read off the edge multiplicities
-    nbr = {v: [] for v in verts}
-    for a, b in edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    cur = min(v for v in verts if deg[v] == 1)
-    prev = None
-    mults = []
-    while True:
-        nxt = [w for w in nbr[cur] if w != prev]
-        if not nxt:
-            break
-        mults.append(mult[cur][nxt[0]])
-        prev, cur = cur, nxt[0]
-    if len(verts) == 3:
-        lo, hi = sorted(mults)
-        if hi == lo + 1:
-            return f"III({hi})"
-    if len(verts) == 4 and mults == [1, 2, 1]:
-        return "IV"
-    raise RuntimeError(f"unclassifiable tree-like chain {verts} with multiplicities {mults}")
-
-
-def _treelike_sort_key(item: tuple[str, int]) -> tuple:
-    label = item[0]
-    order = {"I": 0, "II": 1, "III": 2, "IV": 3}
-    kind = label.split("(")[0]
-    k = int(label[label.index("(") + 1 : -1]) if "(" in label else 0
-    return (order[kind], k)
+    check_ground(n)
+    counts = {"I": 2**n}
+    for k in range(1, n):
+        counts[f"II({k})"] = 2 ** (n - 1) * math.comb(n, k + 1)
+    for k in range(2, n):
+        counts[f"III({k})"] = n * 2**n * math.comb(n - 1, k)
+    if n >= 3:
+        counts["IV"] = 3 * 2**n * math.comb(n, 3)
+    return counts

@@ -72,9 +72,6 @@ class LocalSetting:
     def k_total(self) -> int:
         return sum(self.k)
 
-    def partition(self) -> SetPartition:
-        return SetPartition(self.n, self.blocks)
-
     def young(self) -> YoungLabel:
         rows: list[tuple[int, int]] = []
         k_rows: list[tuple[int, ...]] = []
@@ -303,9 +300,6 @@ class DegenerationGraph:
     m: int
     nodes: tuple[LocalSetting, ...]
     edges: tuple[tuple[int, int], ...]
-
-    def node_index(self) -> dict[str, int]:
-        return {s.id(): i for i, s in enumerate(self.nodes)}
 
 
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:

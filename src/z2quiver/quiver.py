@@ -49,7 +49,7 @@ class Quiver:
         return np.eye(self.v, dtype=np.int64) - self.arrows
 
     def to_json_obj(self) -> dict:
-        return {"v": self.v, "arrows": [[int(x) for x in row] for row in self.arrows]}
+        return {"v": self.v, "arrows": self.arrows.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Quiver":
@@ -92,10 +92,13 @@ def _check_dims(q: Quiver, dims) -> tuple[int, ...]:
 
 
 def euler_form(q: Quiver, alpha, beta) -> int:
-    """Bilinear Euler form alpha^T (I - arrows) beta."""
+    """Bilinear Euler form alpha^T (I - arrows) beta, in exact integers."""
     a = _check_dims(q, alpha)
     b = _check_dims(q, beta)
-    return int(np.asarray(a, dtype=np.int64) @ q.euler_matrix() @ np.asarray(b, dtype=np.int64))
+    rows = q.arrows.tolist()
+    return sum(x * y for x, y in zip(a, b)) - sum(
+        x * sum(r * y for r, y in zip(row, b)) for x, row in zip(a, rows)
+    )
 
 
 def support(q: Quiver, dims) -> QuiverSetting:
@@ -108,43 +111,39 @@ def support(q: Quiver, dims) -> QuiverSetting:
 
 def is_strongly_connected(q: Quiver) -> bool:
     """Every ordered vertex pair joined by a directed path; one vertex: True."""
-    v = q.v
+    return _strongly_connected(q.arrows.tolist())
+
+
+def _strongly_connected(a: list[list[int]]) -> bool:
+    v = len(a)
     if v <= 1:
         return True
 
-    def covers(mat: np.ndarray) -> bool:
+    def covers(joined) -> bool:
         seen = {0}
         stack = [0]
         while stack:
             i = stack.pop()
-            for j in np.nonzero(mat[i])[0]:
-                j = int(j)
-                if j not in seen:
+            for j in range(v):
+                if j not in seen and joined(i, j):
                     seen.add(j)
                     stack.append(j)
         return len(seen) == v
 
-    return covers(q.arrows) and covers(q.arrows.T)
+    return covers(lambda i, j: a[i][j]) and covers(lambda i, j: a[j][i])
 
 
-def _is_oriented_cycle(q: Quiver) -> bool:
-    """One directed cycle through all vertices, every vertex with exactly one
-    arrow in and one out (a single loop counts as the one-vertex cycle)."""
-    v = q.v
-    if v == 0:
+def _is_oriented_cycle(a: list[list[int]]) -> bool:
+    """One directed cycle through all v >= 1 vertices, every vertex with
+    exactly one arrow in and one out (a single loop counts as the
+    one-vertex cycle)."""
+    if any(sum(row) != 1 for row in a) or any(sum(col) != 1 for col in zip(*a)):
         return False
-    a = q.arrows
-    if not (a.sum(axis=1) == 1).all() or not (a.sum(axis=0) == 1).all():
-        return False
-    cur, steps = 0, 0
-    while True:
-        cur = int(a[cur].argmax())
-        steps += 1
-        if cur == 0:
-            break
-        if steps > v:
-            return False
-    return steps == v
+    # a permutation matrix: walk from vertex 0 until the walk comes back
+    cur, steps = a[0].index(1), 1
+    while cur:
+        cur, steps = a[cur].index(1), steps + 1
+    return steps == len(a)
 
 
 def is_simple_dimvector(q: Quiver, dims) -> bool:
@@ -156,25 +155,28 @@ def is_simple_dimvector(q: Quiver, dims) -> bool:
     in dimension 1, being the one-vertex oriented cycle; an oriented cycle
     needs all dimensions 1; otherwise the support must be strongly
     connected with euler_form(dims, e_i) <= 0 and euler_form(e_i, dims) <= 0
-    at every support vertex.
+    at every support vertex.  The arithmetic is in exact integers, so any
+    dimensions are decided correctly.
     """
     d = _check_dims(q, dims)
     if not any(d):
         raise ValueError("the zero dimension vector is not allowed")
-    sub = support(q, d)
-    sq, sd = sub.quiver, sub.dims
-    if sq.v == 1:
-        loops = int(sq.arrows[0, 0])
-        if loops >= 2:
-            return True
-        return sd[0] == 1
-    if _is_oriented_cycle(sq):
+    keep = [i for i, x in enumerate(d) if x]
+    rows = q.arrows.tolist()
+    a = [[rows[i][j] for j in keep] for i in keep]
+    sd = [d[i] for i in keep]
+    if len(sd) == 1:
+        return a[0][0] >= 2 or sd[0] == 1
+    if _is_oriented_cycle(a):
         return all(x == 1 for x in sd)
-    if not is_strongly_connected(sq):
+    if not _strongly_connected(a):
         return False
-    M = sq.euler_matrix()
-    b = np.asarray(sd, dtype=np.int64)
-    return bool((b @ M <= 0).all() and (M @ b <= 0).all())
+    for i, x in enumerate(sd):
+        into = sum(y * row[i] for y, row in zip(sd, a))
+        out = sum(r * y for r, y in zip(a[i], sd))
+        if x > into or x > out:
+            return False
+    return True
 
 
 def is_smooth_setting(q: Quiver, dims) -> bool:

@@ -2,12 +2,13 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from z2quiver.cli import main
 from z2quiver.combinat import DimVector, parse_dim_vector
-from z2quiver.freeprod import is_simple_alpha
+from z2quiver.freeprod import build_one_quiver, is_simple_alpha
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -42,6 +43,21 @@ class TestComponents:
         lines = out.splitlines()
         assert lines[0] == "alpha" and len(lines) == 5
 
+    def test_orbits_n8_m6(self, capsys):
+        code, out = run(capsys, "components", "--n", "8", "--m", "6", "--orbits")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:2] == [str(7**8), "165"] and len(lines) == 2 + 165
+        assert lines[2:] == sorted(lines[2:])
+        assert lines[2] == "3,3;3,3;3,3;3,3;3,3;3,3;3,3;3,3" and lines[-1] == "6,0;6,0;6,0;6,0;6,0;6,0;6,0;6,0"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_orbit_refusal_prints_nothing(self, capsys, fmt):
+        code = main(["components", "--n", "16", "--m", "1000", "--orbits", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "orbit representatives" in captured.err
+
 
 class TestOneQuiver:
     def test_matrix_is_m3(self, capsys):
@@ -63,6 +79,19 @@ class TestOneQuiver:
         assert out.startswith("digraph one_quiver {")
         assert '  v0 [label="{}"];' in out
         assert '  v0 -> v3 [label="1"];' in out
+
+    def test_json_bytes_match_dumps(self, capsys):
+        # the batched writer must emit exactly json.dumps(..., indent=2)
+        code, out = run(capsys, "one-quiver", "--n", "4", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(build_one_quiver(4).to_json_obj(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["matrix", "json", "dot"])
+    def test_above_twelve_refused(self, capsys, fmt):
+        code = main(["one-quiver", "--n", "13", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n <= 12" in captured.err
 
 
 class TestGraph:
@@ -218,8 +247,22 @@ class TestTreelike:
         assert out.strip().endswith("distinct types: 5")
 
     def test_out_of_range(self, capsys):
-        code = main(["treelike", "--n", "7"])
-        assert code == 1
+        for n in ("0", "17"):
+            assert main(["treelike", "--n", n]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_n1(self, capsys):
+        code, out = run(capsys, "treelike", "--n", "1")
+        assert code == 0
+        assert out == "type I: 2 instances\ndistinct types: 1\n"
+
+    def test_n16(self, capsys):
+        code, out = run(capsys, "treelike", "--n", "16")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "type I: 65536 instances"
+        assert lines[-2] == "type IV: 110100480 instances"
+        assert lines[-1] == "distinct types: 31"
 
 
 class TestCanon:
@@ -275,3 +318,42 @@ def test_round_trip_spec_through_cli(capsys):
     assert parse_dim_vector(alpha).m == 2
     code, _ = run(capsys, "simple", "--alpha", alpha)
     assert code == 0
+
+
+# Each case runs in a child process under an address-space limit and a time
+# budget: (argv, expected exit code).  Past a documented bound the CLI must
+# refuse up front with exit 1, never raise MemoryError or run for minutes.
+CONTRACT_CASES = [
+    (["one-quiver", "--n", "16"], 1),
+    (["one-quiver", "--n", "16", "--format", "json"], 1),
+    (["one-quiver", "--n", "16", "--format", "dot"], 1),
+    (["components", "--n", "16", "--m", "1000", "--orbits"], 1),
+    (["components", "--n", "40", "--m", "1", "--orbits"], 0),
+    (["treelike", "--n", "16"], 0),
+]
+CONTRACT_ADDRESS_SPACE = 1 << 30
+CONTRACT_SECONDS = 20
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (CONTRACT_ADDRESS_SPACE, CONTRACT_ADDRESS_SPACE))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv, code", CONTRACT_CASES, ids=[" ".join(a) for a, _ in CONTRACT_CASES])
+def test_resource_capped_contract(argv, code):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "z2quiver", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=CONTRACT_SECONDS,
+    )
+    assert time.monotonic() - start < CONTRACT_SECONDS
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 1:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2quiver import freeprod
 from z2quiver.combinat import DimVector, full_mask
@@ -27,7 +29,7 @@ from z2quiver.freeprod import (
     rep2_census,
     treelike_census,
 )
-from z2quiver.quiver import UnsupportedInputError, is_simple_dimvector
+from z2quiver.quiver import is_simple_dimvector
 
 # the 8x8 Euler matrix of the n=3 character quiver, vertices ordered by
 # bitmask: {}, {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}
@@ -81,15 +83,36 @@ class TestComponents:
         assert len(set(got)) == 27
         assert all(v.m == 2 and v.n == 3 for v in got)
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    @pytest.mark.parametrize("m", range(0, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", range(0, 8))
     def test_orbit_count_vs_dedup(self, n, m):
-        reps = {alpha.canonical() for alpha in components(n, m)}
+        # the canonicalise-all search is the oracle for the listed orbits
+        reps = sorted({alpha.canonical() for alpha in components(n, m)})
         assert orbit_count(n, m) == len(reps)
-        assert set(orbit_representatives(n, m)) == reps
+        assert orbit_representatives(n, m) == reps
 
     def test_orbit_example(self):
         assert orbit_count(3, 2) == 4
+
+    def test_orbits_in_proportion_to_output(self):
+        assert len(orbit_representatives(8, 6)) == orbit_count(8, 6) == 165
+        assert orbit_representatives(40, 1) == [DimVector(((1, 0),) * 40)]
+
+    @pytest.mark.parametrize("n, m", [(16, 1000), (10**9, 1), (10**6, 10**6), (0, 2), (3, -1)])
+    def test_orbit_refusals(self, n, m):
+        with pytest.raises(ValueError):
+            orbit_representatives(n, m)
+
+    def test_orbit_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(freeprod, "MAX_ORBIT_PAIRS", 10)
+        # n = 1: floor(m/2) + 1 orbits of one pair each
+        assert len(orbit_representatives(1, 19)) == 10
+        with pytest.raises(ValueError):
+            orbit_representatives(1, 20)
+        # n = 2: C(floor(m/2) + 2, 2) orbits of two pairs each
+        assert len(orbit_representatives(2, 3)) == 3
+        with pytest.raises(ValueError):
+            orbit_representatives(2, 4)
 
 
 class TestOneQuiver:
@@ -127,6 +150,15 @@ class TestOneQuiver:
     def test_euler_form_on_character_basis(self, n):
         # pairing two characters gives 1 - |A delta B|, entrywise
         assert np.array_equal(build_one_quiver(n).euler_matrix(), one_quiver_euler_closed(n))
+
+    @pytest.mark.parametrize(
+        "build", [build_one_quiver, one_quiver_euler_closed, one_quiver_euler_recursive]
+    )
+    def test_size_refused_up_front(self, build):
+        # 4**13 int64 cells would be 512 MiB; n = 16 would be 32 GiB
+        for n in (13, 16, 17, 0):
+            with pytest.raises(ValueError):
+                build(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_ext_dimension_reading(self, n):
@@ -356,6 +388,42 @@ class TestSimpleAlpha:
             assert is_simple_alpha(near)
             assert is_simple_alpha_oracle(near)
 
+    def test_huge_multiplicities_exact(self):
+        # int64 arithmetic wrapped here: the oracle raised OverflowError
+        alpha = DimVector(((2**63, 2**63),) * 3)
+        assert is_simple_alpha(alpha)
+        assert is_simple_alpha_oracle(alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda n: st.integers(2, 2**200).flatmap(
+                lambda m: st.lists(st.integers(0, m), min_size=n, max_size=n).map(
+                    lambda plus: DimVector(tuple((p, m - p) for p in plus))
+                )
+            )
+        )
+    )
+    def test_oracle_equivalence_huge_m(self, alpha):
+        assert is_simple_alpha(alpha) == is_simple_alpha_oracle(alpha), str(alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda n: st.integers(2, 2**199).flatmap(
+                lambda k: st.tuples(st.just(n), st.just(k), st.permutations(range(n)))
+            )
+        )
+    )
+    def test_exception_orbit_huge_k(self, data):
+        # the exception orbit sits on the bound sum_i max = m(n-1), where a
+        # wrapped inequality would most easily flip the verdict
+        n, k, order = data
+        pairs = ((2 * k, 0),) * (n - 2) + ((k, k), (k, k))
+        alpha = DimVector(tuple(pairs[i] for i in order))
+        assert not is_simple_alpha(alpha)
+        assert not is_simple_alpha_oracle(alpha)
+
     def test_oracle_reads_only_the_support(self, monkeypatch):
         # the oracle must never build the 4**n character-quiver matrix
         def refuse(n):
@@ -530,6 +598,80 @@ class TestRep2:
         assert all(r.singularities == 0 for r in rep2_census(2))
 
 
+def exhaustive_treelike(n: int, max_size: int | None = None) -> dict[str, int]:
+    """The search treelike_census replaced, kept as its oracle: classify
+    every connected tree-like full subquiver of the character quiver over
+    all vertex subsets (or those of at most max_size vertices), failing on
+    any tree outside types I-IV."""
+    nv = 1 << n
+    mult = [[max((i ^ j).bit_count() - 1, 0) for j in range(nv)] for i in range(nv)]
+    adj = [sum(1 << j for j in range(nv) if mult[i][j]) for i in range(nv)]
+    sizes = range(1, (max_size or nv) + 1)
+    counts: dict[str, int] = {}
+    for verts in itertools.chain.from_iterable(itertools.combinations(range(nv), k) for k in sizes):
+        smask = sum(1 << i for i in verts)
+        edges = [(a, b) for a, b in itertools.combinations(verts, 2) if mult[a][b]]
+        if len(edges) != len(verts) - 1:
+            continue
+        # connectivity via bitmask flood fill
+        reached = 1 << verts[0]
+        while True:
+            grown = reached
+            for i in verts:
+                if reached >> i & 1:
+                    grown |= adj[i] & smask
+            if grown == reached:
+                break
+            reached = grown
+        if reached != smask:
+            continue
+        label = classify_treelike(verts, edges, mult)
+        counts[label] = counts.get(label, 0) + 1
+    return dict(sorted(counts.items(), key=treelike_sort_key))
+
+
+def classify_treelike(verts, edges, mult) -> str:
+    if len(verts) == 1:
+        return "I"
+    if len(verts) == 2:
+        return f"II({mult[edges[0][0]][edges[0][1]]})"
+    deg = {v: 0 for v in verts}
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    if sorted(deg.values()) != [1, 1] + [2] * (len(verts) - 2):
+        raise AssertionError(f"tree-like subquiver on {verts} is not a chain")
+    # walk the path from one end and read off the edge multiplicities
+    nbr = {v: [] for v in verts}
+    for a, b in edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    cur = min(v for v in verts if deg[v] == 1)
+    prev = None
+    mults = []
+    while True:
+        nxt = [w for w in nbr[cur] if w != prev]
+        if not nxt:
+            break
+        mults.append(mult[cur][nxt[0]])
+        prev, cur = cur, nxt[0]
+    if len(verts) == 3:
+        lo, hi = sorted(mults)
+        if hi == lo + 1:
+            return f"III({hi})"
+    if len(verts) == 4 and mults == [1, 2, 1]:
+        return "IV"
+    raise AssertionError(f"unclassifiable tree-like chain {verts} with multiplicities {mults}")
+
+
+def treelike_sort_key(item: tuple[str, int]) -> tuple:
+    label = item[0]
+    order = {"I": 0, "II": 1, "III": 2, "IV": 3}
+    kind = label.split("(")[0]
+    k = int(label[label.index("(") + 1 : -1]) if "(" in label else 0
+    return (order[kind], k)
+
+
 class TestTreelike:
     def test_type_counts_n3(self):
         census = treelike_census(3)
@@ -549,11 +691,30 @@ class TestTreelike:
             # unordered pairs at hypercube distance d
             assert census[f"II({d - 1})"] == 2**n * math.comb(n, d) // 2
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_exhaustive_search(self, n):
+        # dict equality ignores order, and the CLI prints in key order
+        assert list(treelike_census(n).items()) == list(exhaustive_treelike(n).items())
+
+    def test_n5_matches_search_up_to_four_vertices(self):
+        # no tree-like subquiver has five or more vertices (see the proof in
+        # the docstring), so subsets of at most four vertices give them all
+        assert list(treelike_census(5).items()) == list(exhaustive_treelike(5, max_size=4).items())
+
+    def test_n16_closed_form(self):
+        census = treelike_census(16)
+        assert len(census) == 2 * 16 - 1
+        assert census["I"] == 2**16 and census["IV"] == 3 * 2**16 * math.comb(16, 3)
+        assert list(census)[-2:] == ["III(15)", "IV"]
+
     def test_out_of_range(self):
-        with pytest.raises(UnsupportedInputError):
-            treelike_census(5)
-        with pytest.raises(UnsupportedInputError):
-            treelike_census(1)
+        for n in (0, 17):
+            with pytest.raises(ValueError):
+                treelike_census(n)
+
+    def test_n1_single_vertices(self):
+        # the two characters of one factor lie at distance 1, so no arrows
+        assert treelike_census(1) == {"I": 2}
 
     def test_n2_census(self):
         # with two factors no double edge exists, so only the first two

@@ -91,6 +91,13 @@ class TestEulerForm:
         with pytest.raises(ValueError):
             euler_form(build_Qn(2), [1, 0, 1], [1, 0, 1, 0])
 
+    def test_exact_at_huge_dims(self):
+        # int64 arithmetic wrapped these to 0 and +2^62
+        q = pair_quiver(4)
+        big = (2**62, 2**62)
+        assert euler_form(q, big, big) == -6 * 2**124
+        assert euler_form(q, big, (1, 0)) == euler_form(q, (0, 1), big) == -3 * 2**62
+
     @given(
         st.integers(2, 4).flatmap(
             lambda v: st.tuples(
@@ -200,6 +207,49 @@ class TestIsSimpleDimvector:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             is_simple_dimvector(pair_quiver(1), (0, 0))
+
+    def test_huge_dims_exact(self):
+        # both Euler inequalities read -3 * 2^62; int64 wrapped them positive
+        assert is_simple_dimvector(pair_quiver(4), (2**62, 2**62))
+        assert is_simple_dimvector(pair_quiver(2), (2**200, 2**200))
+        assert not is_simple_dimvector(pair_quiver(1), (2**200, 2**200))
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda v: st.tuples(
+                st.lists(st.lists(st.integers(0, 3), min_size=v, max_size=v), min_size=v, max_size=v),
+                st.lists(st.integers(0, 5), min_size=v, max_size=v).filter(any),
+            )
+        )
+    )
+    def test_matches_int64_route_on_small_values(self, data):
+        arrows, dims = data
+        q = Quiver(arrows)
+        assert is_simple_dimvector(q, dims) == int64_is_simple_dimvector(q, dims)
+
+
+def int64_is_simple_dimvector(q: Quiver, dims) -> bool:
+    """The numpy int64 route is_simple_dimvector replaced, kept as its
+    reference where no value can wrap."""
+    sub = support(q, dims)
+    a, d = sub.quiver.arrows, sub.dims
+    v = len(d)
+    if v == 1:
+        return int(a[0, 0]) >= 2 or d[0] == 1
+    if (a.sum(axis=1) == 1).all() and (a.sum(axis=0) == 1).all():
+        cur, steps = int(a[0].argmax()), 1
+        while cur:
+            cur, steps = int(a[cur].argmax()), steps + 1
+        if steps == v:
+            return all(x == 1 for x in d)
+    reach = np.eye(v, dtype=np.int64) + a
+    for _ in range(v):
+        reach = np.minimum(reach @ reach, 1)
+    if not reach.all():
+        return False
+    euler = sub.quiver.euler_matrix()
+    b = np.asarray(d, dtype=np.int64)
+    return bool((b @ euler <= 0).all() and (euler @ b <= 0).all())
 
 
 class TestIsSmoothSetting:
