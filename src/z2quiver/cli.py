@@ -13,10 +13,11 @@ import csv
 import itertools
 import json
 import sys
+from typing import Iterator
 
 import numpy as np
 
-from .combinat import parse_dim_vector, subset_str
+from .combinat import check_ground, parse_dim_vector, subset_str
 from .freeprod import (
     build_one_quiver,
     component_count,
@@ -41,11 +42,32 @@ from .localquiver import (
 from .quiver import Quiver, support
 
 
-def format_matrix(m: np.ndarray) -> str:
+def _cell_texts(m: np.ndarray, texts):
+    """A function from rows (or parts of rows) of the integer matrix m to
+    object arrays of their cell texts.  texts(values) turns the sorted values
+    that may occur into their texts once: every integer from min to max when
+    there are no more of them than cells, so a dense matrix of small values
+    costs no sorted copy, else the distinct values."""
+    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
+    values = np.arange(lo, hi + 1) if hi - lo < m.size else np.unique(m)
+    table = np.array(texts(values.tolist()), dtype=object)
+    return lambda cells: table[np.searchsorted(values, cells)]
+
+
+def format_matrix(m: np.ndarray) -> Iterator[str]:
+    """The lines of an integer grid, entries right-aligned to the widest
+    one, yielded row by row so the whole text is never held at once."""
     if m.size == 0:
-        return ""
-    width = max(len(str(m.min())), len(str(m.max())))
-    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in m.tolist())
+        return
+
+    def padded(values: list[int]) -> list[str]:
+        texts = [str(v) for v in values]
+        width = max(map(len, texts))
+        return [t.rjust(width) for t in texts]
+
+    cells = _cell_texts(m, padded)
+    for row in m:
+        yield " ".join(cells(row).tolist())
 
 
 def write_json(obj) -> None:
@@ -57,16 +79,35 @@ def write_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def quiver_dot(q: Quiver, labels: list[str], name: str = "quiver") -> str:
-    lines = [f"digraph {name} {{"]
-    for i, label in enumerate(labels):
-        lines.append(f'  v{i} [label="{label}"];')
-    for i, row in enumerate(q.arrows.tolist()):
-        for j, k in enumerate(row):
-            if k:
-                lines.append(f'  v{i} -> v{j} [label="{k}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def write_quiver_json(q: Quiver) -> None:
+    """Write json.dumps(q.to_json_obj(), indent=2) and a newline to stdout
+    one arrow row at a time (q has at least one vertex)."""
+    out = sys.stdout
+    cells = _cell_texts(q.arrows, lambda values: [f"      {v}" for v in values])
+    out.write(f'{{\n  "v": {q.v},\n  "arrows": [')
+    sep = "\n"
+    for row in q.arrows:
+        out.write(sep + "    [\n" + ",\n".join(cells(row).tolist()) + "\n    ]")
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
+
+
+def quiver_dot(q: Quiver, labels: list[str], name: str = "quiver") -> Iterator[str]:
+    """The DOT text of q in pieces, one per vertex row of arrows, so the
+    whole text is never held at once.  Each arrow line is joined from three
+    prebuilt texts (tail, head, count), so no text is formatted per arrow."""
+    yield f"digraph {name} {{\n"
+    yield "".join(f'  v{i} [label="{label}"];\n' for i, label in enumerate(labels))
+    heads = np.array([f'v{j} [label="' for j in range(q.v)], dtype=object)
+    counts = _cell_texts(q.arrows, lambda values: [f'{k}"];\n' for k in values])
+    for i, row in enumerate(q.arrows):
+        js = np.flatnonzero(row)
+        line = np.empty((js.size, 3), dtype=object)
+        line[:, 0] = f"  v{i} -> "
+        line[:, 1] = heads[js]
+        line[:, 2] = counts(row[js])
+        yield "".join(line.ravel().tolist())
+    yield "}\n"
 
 
 def graph_dot(g) -> str:
@@ -80,13 +121,19 @@ def graph_dot(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _subset_names(n: int) -> list[str]:
+    """subset_str of every subset of {1..n}, indexed by bitmask; refuses n
+    outside [1, MAX_GROUND] before building anything."""
+    check_ground(n)
+    return [subset_str(a) for a in range(1 << n)]
+
+
 def _setting_text(s) -> str:
     qs = local_quiver(s)
     reduced = support(qs.quiver, qs.dims)
     out = [f"{s.id()}  sum_k={s.k_total}  smooth={'yes' if smooth_point(s) else 'no'}"]
     out.append("  dims: " + ",".join(str(d) for d in reduced.dims))
-    matrix = format_matrix(reduced.quiver.arrows)
-    out.extend("  " + row for row in matrix.split("\n") if matrix)
+    out.extend("  " + row for row in format_matrix(reduced.quiver.arrows))
     return "\n".join(out)
 
 
@@ -113,14 +160,13 @@ def cmd_components(args) -> int:
 
 def cmd_one_quiver(args) -> int:
     if args.format == "matrix":
-        print(format_matrix(one_quiver_euler_closed(args.n)))
+        sys.stdout.writelines(row + "\n" for row in format_matrix(one_quiver_euler_closed(args.n)))
         return 0
     q = build_one_quiver(args.n)
     if args.format == "json":
-        write_json(q.to_json_obj())
+        write_quiver_json(q)
     else:
-        labels = [subset_str(a) for a in range(q.v)]
-        sys.stdout.write(quiver_dot(q, labels, name="one_quiver"))
+        sys.stdout.writelines(quiver_dot(q, _subset_names(args.n), name="one_quiver"))
     return 0
 
 
@@ -182,12 +228,13 @@ def cmd_smooth_component(args) -> int:
 
 def cmd_rep2(args) -> int:
     rows = rep2_census(args.n)
+    names = _subset_names(args.n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["A", "B", "k", "rep_dim", "quot_dim", "singularities"])
         for r in rows:
             writer.writerow(
-                [subset_str(r.a_mask), subset_str(r.b_mask), r.k, r.rep_dim, r.quot_dim, r.singularities]
+                [names[r.a_mask], names[r.b_mask], r.k, r.rep_dim, r.quot_dim, r.singularities]
             )
         return 0
     print("A\tB\tk\trep_dim\tquot_dim\tsingularities\tlocal_type")
@@ -195,7 +242,7 @@ def cmd_rep2(args) -> int:
     for r in rows:
         total += 1
         print(
-            f"{subset_str(r.a_mask)}\t{subset_str(r.b_mask)}\t{r.k}\t{r.rep_dim}"
+            f"{names[r.a_mask]}\t{names[r.b_mask]}\t{r.k}\t{r.rep_dim}"
             f"\t{r.quot_dim}\t{r.singularities}\t{r.local_type or '-'}"
         )
     print(f"total components: {total}")

@@ -30,6 +30,9 @@ from .quiver import Quiver, is_simple_dimvector
 
 # Most pairs, orbit count times n, that orbit_representatives lists.
 MAX_ORBIT_PAIRS = 10**6
+# Most decimal digits of a component count: CPython's default limit on
+# int-to-str conversion, so every count that prints keeps printing.
+MAX_COUNT_DIGITS = 4300
 # Largest n whose 2**n x 2**n character-quiver matrices are built.
 MAX_ONE_QUIVER_GROUND = 12
 
@@ -47,9 +50,20 @@ def build_Qn(n: int) -> Quiver:
 
 
 def component_count(n: int, m: int) -> int:
+    """(m+1)**n.  Refuses with ValueError a count of more than
+    MAX_COUNT_DIGITS decimal digits.  Since (m+1)**n >= 2**(n*(b-1)) for
+    b = (m+1).bit_length(), an exponent n*(b-1) above 4 * MAX_COUNT_DIGITS
+    is refused before any power is computed; below it the count has at most
+    about 2.4 * MAX_COUNT_DIGITS digits and is compared exactly."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return (m + 1) ** n
+    too_many = f"the component count (m+1)**n of n={n}, m={m} has more than {MAX_COUNT_DIGITS} digits"
+    if n * ((m + 1).bit_length() - 1) > 4 * MAX_COUNT_DIGITS:
+        raise ValueError(too_many)
+    count = (m + 1) ** n
+    if count >= 10**MAX_COUNT_DIGITS:
+        raise ValueError(too_many)
+    return count
 
 
 def components(n: int, m: int) -> Iterator[DimVector]:

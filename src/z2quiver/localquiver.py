@@ -258,35 +258,34 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     """One-step degenerations, up to ground-set permutation: lower a single
     k_i >= 2 by one, or split one block into two nonempty parts whose k
     values sum to k_i.  Returns canonical representatives of the distinct
-    target classes, sorted."""
-    targets: dict[YoungLabel, LocalSetting] = {}
+    target classes, sorted.
 
-    def add(setting: LocalSetting) -> None:
-        targets.setdefault(setting.young(), setting)
-
-    for t in _k_lowerings(s):
-        add(t)
-    for i, block in enumerate(s.blocks):
+    The moves are made per distinct (size, k) block, from the first block
+    carrying it: its k-lowering, and every split into (s_a, k_a) +
+    (size - s_a, k - k_a) with s_a <= size - s_a (and k_a <= k - k_a when
+    the halves are equal), part A being the block's lowest s_a elements.
+    Distinct (size, k) blocks lead to distinct targets, so each target is
+    built once and the work follows the output, not the 2^(size-1)
+    labelled splits of a block."""
+    moves = []
+    seen: set[tuple[int, int]] = set()
+    for i, (block, k) in enumerate(zip(s.blocks, s.k)):
         size = block.bit_count()
-        if size < 2:
+        if (size, k) in seen:
             continue
-        low = 1 << (min_element(block) - 1)
+        seen.add((size, k))
+        if k >= 2:
+            moves.append(LocalSetting(s.n, s.m, s.blocks, s.k[:i] + (k - 1,) + s.k[i + 1 :]))
         elems = [1 << e for e in range(s.n) if block >> e & 1]
-        # unordered splits: force the lowest element into the first part
-        rest = [e for e in elems if e != low]
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                part_a = low | sum(extra)
-                part_b = block ^ part_a
-                if not part_b:
-                    continue
-                for ka in range(1, s.k[i]):
-                    kb = s.k[i] - ka
-                    if ka <= part_a.bit_count() and 1 <= kb <= part_b.bit_count():
-                        blocks = s.blocks[:i] + (part_a, part_b) + s.blocks[i + 1 :]
-                        ks = s.k[:i] + (ka, kb) + s.k[i + 1 :]
-                        add(LocalSetting(s.n, s.m, blocks, ks))
-    return sorted(targets.values(), key=lambda t: t.young().sort_key())
+        part_a = 0
+        for s_a in range(1, size // 2 + 1):
+            part_a |= elems[s_a - 1]
+            s_b = size - s_a
+            blocks = s.blocks[:i] + (part_a, block ^ part_a) + s.blocks[i + 1 :]
+            top = min(s_a, k - 1, k // 2 if s_a == s_b else k)
+            for k_a in range(max(1, k - s_b), top + 1):
+                moves.append(LocalSetting(s.n, s.m, blocks, s.k[:i] + (k_a, k - k_a) + s.k[i + 1 :]))
+    return sorted(moves, key=lambda t: t.young().sort_key())
 
 
 @dataclass(frozen=True)

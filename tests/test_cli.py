@@ -1,14 +1,28 @@
+import contextlib
+import csv
+import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from z2quiver.cli import main
-from z2quiver.combinat import DimVector, parse_dim_vector
-from z2quiver.freeprod import build_one_quiver, is_simple_alpha
+from z2quiver.cli import format_matrix, main
+from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
+from z2quiver.freeprod import (
+    MAX_COUNT_DIGITS,
+    build_one_quiver,
+    is_simple_alpha,
+    one_quiver_euler_closed,
+    rep2_census,
+)
+from z2quiver.localquiver import enumerate_settings, local_euler_matrix, local_quiver
+from z2quiver.quiver import support
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -52,11 +66,53 @@ class TestComponents:
         assert lines[2] == "3,3;3,3;3,3;3,3;3,3;3,3;3,3;3,3" and lines[-1] == "6,0;6,0;6,0;6,0;6,0;6,0;6,0;6,0"
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_count_digit_limit_boundary(self, capsys, fmt):
+        # 10**(D-1) has D digits and prints; 10**D has D + 1 and is refused
+        code, out = run(capsys, "components", "--n", str(MAX_COUNT_DIGITS - 1), "--m", "9", "--format", fmt)
+        count = "1" + "0" * (MAX_COUNT_DIGITS - 1)
+        assert code == 0
+        assert out == (f"n,m,components\n{MAX_COUNT_DIGITS - 1},9,{count}\n" if fmt == "csv" else count + "\n")
+        code = main(["components", "--n", str(MAX_COUNT_DIGITS), "--m", "9", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"more than {MAX_COUNT_DIGITS} digits" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_huge_count_refused_up_front(self, capsys, fmt):
+        start = time.monotonic()
+        code = main(["components", "--n", str(10**9), "--m", "2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert time.monotonic() - start < 1
+        assert code == 1 and captured.out == ""
+        assert f"more than {MAX_COUNT_DIGITS} digits" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_orbit_refusal_prints_nothing(self, capsys, fmt):
         code = main(["components", "--n", "16", "--m", "1000", "--orbits", "--format", fmt])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "orbit representatives" in captured.err
+
+
+def per_cell_format_matrix(m: np.ndarray) -> str:
+    """Oracle for format_matrix: the whole grid, one str(x).rjust per cell."""
+    if m.size == 0:
+        return ""
+    width = max(len(str(m.min())), len(str(m.max())))
+    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in m.tolist())
+
+
+def joined_quiver_dot(q, labels: list[str], name: str) -> str:
+    """Oracle for quiver_dot: every line built first, then joined."""
+    lines = [f"digraph {name} {{"]
+    for i, label in enumerate(labels):
+        lines.append(f'  v{i} [label="{label}"];')
+    for i, row in enumerate(q.arrows.tolist()):
+        for j, k in enumerate(row):
+            if k:
+                lines.append(f'  v{i} -> v{j} [label="{k}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class TestOneQuiver:
@@ -81,10 +137,54 @@ class TestOneQuiver:
         assert '  v0 -> v3 [label="1"];' in out
 
     def test_json_bytes_match_dumps(self, capsys):
-        # the batched writer must emit exactly json.dumps(..., indent=2)
-        code, out = run(capsys, "one-quiver", "--n", "4", "--format", "json")
+        # the row writer must emit exactly json.dumps(..., indent=2)
+        for n in range(1, 9):
+            code, out = run(capsys, "one-quiver", "--n", str(n), "--format", "json")
+            assert code == 0
+            assert out == json.dumps(build_one_quiver(n).to_json_obj(), indent=2) + "\n", n
+
+    def test_matrix_matches_per_cell_oracle(self, capsys):
+        for n in range(1, 9):
+            assert "\n".join(format_matrix(one_quiver_euler_closed(n))) == per_cell_format_matrix(
+                one_quiver_euler_closed(n)
+            ), n
+            code, out = run(capsys, "one-quiver", "--n", str(n))
+            assert code == 0 and out == per_cell_format_matrix(one_quiver_euler_closed(n)) + "\n"
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    qs = local_quiver(s)
+                    for matrix in (support(qs.quiver, qs.dims).quiver.arrows, local_euler_matrix(s)):
+                        assert "\n".join(format_matrix(matrix)) == per_cell_format_matrix(matrix), s
+
+    def test_matrix_sparse_values(self):
+        # more distinct-value range than cells: the table holds the distinct values only
+        for matrix in ([[0, 10**12], [-5, 3]], [[-(10**9)]], [[7, 7, 7]], [[]]):
+            m = np.array(matrix, dtype=np.int64)
+            assert "\n".join(format_matrix(m)) == per_cell_format_matrix(m), matrix
+
+    def test_dot_bytes_match_joined_oracle(self, capsys):
+        for n in range(1, 7):
+            code, out = run(capsys, "one-quiver", "--n", str(n), "--format", "dot")
+            assert code == 0
+            labels = [subset_str(a) for a in range(1 << n)]
+            assert out == joined_quiver_dot(build_one_quiver(n), labels, name="one_quiver"), n
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_streamed_emitter_peak(self, fmt):
+        # the whole text at n = 10 is 3-25 MB, and the matrix behind it is
+        # cached, so the peak is what the emitter itself holds at once; the
+        # joined-text emitters peaked at 13 MiB (json) and 138 MiB (dot)
+        build_one_quiver(10)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["one-quiver", "--n", "10", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert code == 0
-        assert out == json.dumps(build_one_quiver(4).to_json_obj(), indent=2) + "\n"
+        assert peak < 2 << 20, peak
 
     @pytest.mark.parametrize("fmt", ["matrix", "json", "dot"])
     def test_above_twelve_refused(self, capsys, fmt):
@@ -223,6 +323,29 @@ class TestSmoothComponent:
         assert code == 1 and out.strip().endswith("smooth: no")
 
 
+def per_row_rep2(n: int, fmt: str) -> str:
+    """Oracle for rep2: subset_str called for both subsets of every row."""
+    out = io.StringIO()
+    rows = rep2_census(n)
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["A", "B", "k", "rep_dim", "quot_dim", "singularities"])
+        for r in rows:
+            writer.writerow([subset_str(r.a_mask), subset_str(r.b_mask), r.k, r.rep_dim, r.quot_dim, r.singularities])
+        return out.getvalue()
+    print("A\tB\tk\trep_dim\tquot_dim\tsingularities\tlocal_type", file=out)
+    total = 0
+    for r in rows:
+        total += 1
+        print(
+            f"{subset_str(r.a_mask)}\t{subset_str(r.b_mask)}\t{r.k}\t{r.rep_dim}"
+            f"\t{r.quot_dim}\t{r.singularities}\t{r.local_type or '-'}",
+            file=out,
+        )
+    print(f"total components: {total}", file=out)
+    return out.getvalue()
+
+
 class TestRep2:
     def test_csv_header_and_rows(self, capsys):
         code, out = run(capsys, "rep2", "--n", "3", "--format", "csv")
@@ -237,6 +360,20 @@ class TestRep2:
         code, out = run(capsys, "rep2", "--n", "2")
         assert code == 0
         assert out.strip().endswith("total components: 9")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_matches_per_row_oracle(self, capsys, fmt):
+        for n in range(1, 7):
+            code, out = run(capsys, "rep2", "--n", str(n), "--format", fmt)
+            assert code == 0 and out == per_row_rep2(n, fmt), n
+
+    @pytest.mark.parametrize("n", ["0", "17"])
+    def test_ground_refused_up_front(self, capsys, n):
+        for fmt in ("text", "csv"):
+            code = main(["rep2", "--n", n, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert "ground-set size" in captured.err
 
 
 class TestTreelike:
@@ -330,6 +467,11 @@ CONTRACT_CASES = [
     (["components", "--n", "16", "--m", "1000", "--orbits"], 1),
     (["components", "--n", "40", "--m", "1", "--orbits"], 0),
     (["treelike", "--n", "16"], 0),
+    (["graph", "--n", "10", "--m", "3"], 1),
+    (["simple", "--alpha", "(1,0)*1000000000"], 1),
+    (["canon", "--chars", "{1}^1000000000000000000+{2,3}^1000000000000000000"], 0),
+    (["components", "--n", "1000000000", "--m", "2"], 1),
+    (["rep2", "--n", "17", "--format", "csv"], 1),
 ]
 CONTRACT_ADDRESS_SPACE = 1 << 30
 CONTRACT_SECONDS = 20

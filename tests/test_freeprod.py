@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -76,6 +77,26 @@ class TestComponents:
         assert component_count(3, 2) == 27
         assert component_count(4, 0) == 1
         assert component_count(1, 5) == 6
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 99, 12345, 10**100])
+    def test_count_digit_limit(self, m):
+        # the largest n whose count has at most MAX_COUNT_DIGITS digits
+        # answers, the next is refused; an exact search gives that n
+        limit = 10**freeprod.MAX_COUNT_DIGITS
+        n = 1
+        while (m + 1) ** (n + 1) < limit:
+            n += 1
+        assert component_count(n, m) == (m + 1) ** n
+        with pytest.raises(ValueError, match="digits"):
+            component_count(n + 1, m)
+
+    def test_huge_count_refused_without_power(self):
+        assert component_count(10**18, 0) == 1
+        for n, m in ((10**18, 1), (10**9, 2), (2, 10**5000)):
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="digits"):
+                component_count(n, m)
+            assert time.monotonic() - start < 1
 
     def test_stream_matches_count(self):
         got = list(components(3, 2))

@@ -9,6 +9,7 @@ from z2quiver.combinat import (
     YoungLabel,
     enumerate_set_partitions,
     full_mask,
+    min_element,
     multiset_coeff,
     partitions_of_int,
 )
@@ -287,7 +288,45 @@ class TestDegeneratesClass:
             degenerates_class(LocalSetting(3, 3, whole(3), (3,)), LocalSetting(3, 2, whole(3), (2,)))
 
 
+def labelled_elementary_moves(s: LocalSetting) -> list[LocalSetting]:
+    """Oracle for elementary_moves: every k-lowering and every labelled
+    split of every block (its lowest element in the first part), deduplicated
+    by Young label with the first representative kept, sorted."""
+    targets: dict[YoungLabel, LocalSetting] = {}
+
+    def add(setting: LocalSetting) -> None:
+        targets.setdefault(setting.young(), setting)
+
+    for i in range(s.l):
+        if s.k[i] >= 2:
+            add(LocalSetting(s.n, s.m, s.blocks, s.k[:i] + (s.k[i] - 1,) + s.k[i + 1 :]))
+    for i, block in enumerate(s.blocks):
+        if block.bit_count() < 2:
+            continue
+        low = 1 << (min_element(block) - 1)
+        rest = [1 << e for e in range(s.n) if block >> e & 1 and 1 << e != low]
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                part_a = low | sum(extra)
+                part_b = block ^ part_a
+                if not part_b:
+                    continue
+                for ka in range(1, s.k[i]):
+                    kb = s.k[i] - ka
+                    if ka <= part_a.bit_count() and 1 <= kb <= part_b.bit_count():
+                        blocks = s.blocks[:i] + (part_a, part_b) + s.blocks[i + 1 :]
+                        add(LocalSetting(s.n, s.m, blocks, s.k[:i] + (ka, kb) + s.k[i + 1 :]))
+    return sorted(targets.values(), key=lambda t: t.young().sort_key())
+
+
 class TestElementaryMoves:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_labelled_splits(self, n):
+        # the same representatives, blocks included, in the same order
+        for m in range(1, n + 1):
+            for s in enumerate_settings(n, m):
+                assert elementary_moves(s) == labelled_elementary_moves(s), (m, s)
+
     def test_top_node_33(self):
         moves = elementary_moves(LocalSetting(3, 3, whole(3), (3,)))
         assert {t.id() for t in moves} == {"(3),(2)", "(2,1),(2,1)"}
