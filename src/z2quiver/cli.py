@@ -15,18 +15,16 @@ import json
 import sys
 from typing import Iterator
 
-import numpy as np
-
 from .combinat import check_ground, parse_dim_vector, subset_str
 from .freeprod import (
     build_one_quiver,
+    check_one_quiver,
     component_count,
     is_iss_smooth,
     iss_dim,
-    one_quiver_euler_closed,
     orbit_representatives,
     parse_characters,
-    rep2_census,
+    rep2_values,
     simple_alpha_report,
     treelike_census,
 )
@@ -34,40 +32,61 @@ from .localquiver import (
     degeneration_graph,
     enumerate_settings,
     graph_json_obj,
-    local_quiver,
+    local_quiver_rows,
     setting_json_obj,
     smooth_point,
     young_diagram_slice,
 )
-from .quiver import Quiver, support
+from .quiver import Quiver
 
 
-def _cell_texts(m: np.ndarray, texts):
+def _cell_texts(m, texts):
     """A function from rows (or parts of rows) of the integer matrix m to
     object arrays of their cell texts.  texts(values) turns the sorted values
     that may occur into their texts once: every integer from min to max when
     there are no more of them than cells, so a dense matrix of small values
     costs no sorted copy, else the distinct values."""
+    import numpy as np
+
     lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
     values = np.arange(lo, hi + 1) if hi - lo < m.size else np.unique(m)
     table = np.array(texts(values.tolist()), dtype=object)
     return lambda cells: table[np.searchsorted(values, cells)]
 
 
-def format_matrix(m: np.ndarray) -> Iterator[str]:
-    """The lines of an integer grid, entries right-aligned to the widest
-    one, yielded row by row so the whole text is never held at once."""
-    if m.size == 0:
+def format_matrix(m) -> Iterator[str]:
+    """The lines of an integer grid, given as int rows or a 2-d ndarray,
+    entries right-aligned to the widest one, yielded row by row.  Each
+    distinct value's text is made once."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    if not rows or not rows[0]:
         return
+    values = set().union(*rows)
+    width = max(len(str(min(values))), len(str(max(values))))
+    texts = {x: str(x).rjust(width) for x in values}
+    for row in rows:
+        yield " ".join(map(texts.__getitem__, row))
 
-    def padded(values: list[int]) -> list[str]:
-        texts = [str(v) for v in values]
-        width = max(map(len, texts))
-        return [t.rjust(width) for t in texts]
 
-    cells = _cell_texts(m, padded)
-    for row in m:
-        yield " ".join(cells(row).tolist())
+def hamming_rows(n: int, texts: list[str], sep: str) -> Iterator[str]:
+    """The rows of the 2**n x 2**n grid whose cell (i, j) is
+    texts[popcount(i ^ j)], its cells joined by sep.
+
+    With i and j split into their high bits and their low h = n // 2 bits,
+    popcount(i ^ j) = popcount(i_hi ^ j_hi) + popcount(i_lo ^ j_lo).  So a
+    row is the join of 2**(n-h) low-half blocks, each picked by the distance
+    of its high half from a table of (n-h+1) * 2**h prebuilt block texts.
+    The table holds O(n 2**n) text, and no 4**n grid is ever built."""
+    h = n // 2
+    low = range(1 << h)
+    blocks = [
+        [sep.join([texts[d + (a ^ b).bit_count()] for b in low]) for a in low]
+        for d in range(n - h + 1)
+    ]
+    for i_hi in range(1 << (n - h)):
+        picked = [blocks[(i_hi ^ j_hi).bit_count()] for j_hi in range(1 << (n - h))]
+        for i_lo in low:
+            yield sep.join([block[i_lo] for block in picked])
 
 
 def write_json(obj) -> None:
@@ -79,23 +98,12 @@ def write_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def write_quiver_json(q: Quiver) -> None:
-    """Write json.dumps(q.to_json_obj(), indent=2) and a newline to stdout
-    one arrow row at a time (q has at least one vertex)."""
-    out = sys.stdout
-    cells = _cell_texts(q.arrows, lambda values: [f"      {v}" for v in values])
-    out.write(f'{{\n  "v": {q.v},\n  "arrows": [')
-    sep = "\n"
-    for row in q.arrows:
-        out.write(sep + "    [\n" + ",\n".join(cells(row).tolist()) + "\n    ]")
-        sep = ",\n"
-    out.write("\n  ]\n}\n")
-
-
 def quiver_dot(q: Quiver, labels: list[str], name: str = "quiver") -> Iterator[str]:
     """The DOT text of q in pieces, one per vertex row of arrows, so the
     whole text is never held at once.  Each arrow line is joined from three
     prebuilt texts (tail, head, count), so no text is formatted per arrow."""
+    import numpy as np
+
     yield f"digraph {name} {{\n"
     yield "".join(f'  v{i} [label="{label}"];\n' for i, label in enumerate(labels))
     heads = np.array([f'v{j} [label="' for j in range(q.v)], dtype=object)
@@ -129,11 +137,10 @@ def _subset_names(n: int) -> list[str]:
 
 
 def _setting_text(s) -> str:
-    qs = local_quiver(s)
-    reduced = support(qs.quiver, qs.dims)
+    rows, dims = local_quiver_rows(s, reduced=True)
     out = [f"{s.id()}  sum_k={s.k_total}  smooth={'yes' if smooth_point(s) else 'no'}"]
-    out.append("  dims: " + ",".join(str(d) for d in reduced.dims))
-    out.extend("  " + row for row in format_matrix(reduced.quiver.arrows))
+    out.append("  dims: " + ",".join(map(str, dims)))
+    out.extend("  " + row for row in format_matrix(rows))
     return "\n".join(out)
 
 
@@ -159,14 +166,27 @@ def cmd_components(args) -> int:
 
 
 def cmd_one_quiver(args) -> int:
+    """The Euler matrix 1 - |A delta B| (matrix) and the arrows
+    max(|A delta B| - 1, 0) (json) are written row by row from the Hamming
+    closed form; dot lists the arrows of build_one_quiver."""
+    n = args.n
+    check_one_quiver(n)
+    out = sys.stdout
     if args.format == "matrix":
-        sys.stdout.writelines(row + "\n" for row in format_matrix(one_quiver_euler_closed(args.n)))
-        return 0
-    q = build_one_quiver(args.n)
-    if args.format == "json":
-        write_quiver_json(q)
+        width = len(str(1 - n))  # the widest entry: 1 - n, or 0 and 1 at n = 1
+        texts = [str(1 - d).rjust(width) for d in range(n + 1)]
+        out.writelines(row + "\n" for row in hamming_rows(n, texts, " "))
+    elif args.format == "json":
+        # json.dumps({"v": ..., "arrows": ...}, indent=2) and a newline
+        texts = [f"      {max(d - 1, 0)}" for d in range(n + 1)]
+        out.write(f'{{\n  "v": {1 << n},\n  "arrows": [')
+        sep = "\n"
+        for row in hamming_rows(n, texts, ",\n"):
+            out.write(f"{sep}    [\n{row}\n    ]")
+            sep = ",\n"
+        out.write("\n  ]\n}\n")
     else:
-        sys.stdout.writelines(quiver_dot(q, _subset_names(args.n), name="one_quiver"))
+        out.writelines(quiver_dot(build_one_quiver(n), _subset_names(n), name="one_quiver"))
     return 0
 
 
@@ -227,25 +247,33 @@ def cmd_smooth_component(args) -> int:
 
 
 def cmd_rep2(args) -> int:
-    rows = rep2_census(args.n)
-    names = _subset_names(args.n)
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["A", "B", "k", "rep_dim", "quot_dim", "singularities"])
-        for r in rows:
-            writer.writerow(
-                [names[r.a_mask], names[r.b_mask], r.k, r.rep_dim, r.quot_dim, r.singularities]
-            )
-        return 0
-    print("A\tB\tk\trep_dim\tquot_dim\tsingularities\tlocal_type")
-    total = 0
-    for r in rows:
-        total += 1
-        print(
-            f"{names[r.a_mask]}\t{names[r.b_mask]}\t{r.k}\t{r.rep_dim}"
-            f"\t{r.quot_dim}\t{r.singularities}\t{r.local_type or '-'}"
-        )
-    print(f"total components: {total}")
+    """The rows of rep2_census, A ascending and B over the subsets of the
+    complement ascending.  A row is the names of A and B and a tail that
+    depends on k = |A| alone, so each A's rows are written in one piece:
+    the B names joined by the tail and A's name."""
+    n = args.n
+    names = _subset_names(n)
+    csv_out = args.format == "csv"
+    sep = "," if csv_out else "\t"
+    if csv_out:
+        names = [f'"{t}"' if "," in t else t for t in names]  # csv's minimal quoting
+    header = ["A", "B", "k", "rep_dim", "quot_dim", "singularities"]
+    print(sep.join(header if csv_out else header + ["local_type"]))
+    tails = []
+    for k in range(n + 1):
+        *counts, local = rep2_values(k)
+        fields = [k, *counts] if csv_out else [k, *counts, local or "-"]
+        tails.append("".join(sep + str(x) for x in fields) + "\n")
+    out = sys.stdout
+    for a in range(1 << n):
+        subs = [0]  # the subsets of the complement of A, ascending
+        for i in range(n):
+            if not a >> i & 1:
+                subs += [b | 1 << i for b in subs]
+        head, tail = names[a] + sep, tails[a.bit_count()]
+        out.write(head + (tail + head).join([names[b] for b in subs]) + tail)
+    if not csv_out:
+        print(f"total components: {3**n}")
     return 0
 
 

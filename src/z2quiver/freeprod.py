@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .combinat import (
     DimVector,
     check_ground,
@@ -43,6 +41,8 @@ def build_Qn(n: int) -> Quiver:
     check_ground(n)
     if n < 2:
         raise ValueError(f"need n >= 2 vertex pairs, got {n}")
+    import numpy as np
+
     arrows = np.zeros((2 * n, 2 * n), dtype=np.int64)
     arrows[0, 2:] = 1
     arrows[1, 2:] = 1
@@ -109,7 +109,7 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     )
 
 
-def _check_one_quiver(n: int) -> None:
+def check_one_quiver(n: int) -> None:
     """The character-quiver matrices hold 4**n int64 cells (128 MiB at
     n = 12), so they refuse n > MAX_ONE_QUIVER_GROUND up front."""
     check_ground(n)
@@ -122,26 +122,33 @@ def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
     no loops.  The arrows are max(-E, 0) for the Euler matrix E, since E
-    has 1 on the diagonal and 1 - |A delta B| off it."""
+    has 1 on the diagonal and 1 - |A delta B| off it.  The matrix is
+    made read-only before it is handed over, so Quiver keeps it uncopied."""
     arrows = one_quiver_euler_closed(n)
-    np.negative(arrows, out=arrows)
-    np.maximum(arrows, 0, out=arrows)
+    arrows *= -1
+    arrows.clip(0, None, out=arrows)
+    arrows.flags.writeable = False
     return Quiver(arrows)
 
 
-def one_quiver_euler_closed(n: int) -> np.ndarray:
-    """Euler matrix of the character quiver via the closed form 1 - |A delta B|."""
-    _check_one_quiver(n)
+def one_quiver_euler_closed(n: int):
+    """Euler matrix of the character quiver, an int64 ndarray, via the
+    closed form 1 - |A delta B|."""
+    check_one_quiver(n)
+    import numpy as np
+
     masks = np.arange(1 << n, dtype=np.uint32)
     euler = np.bitwise_count(np.bitwise_xor.outer(masks, masks)).astype(np.int64)
     np.subtract(1, euler, out=euler)
     return euler
 
 
-def one_quiver_euler_recursive(n: int) -> np.ndarray:
+def one_quiver_euler_recursive(n: int):
     """Same matrix built by doubling: M_0 = [1] and
     M_j = [[M_{j-1}, M_{j-1}-P], [M_{j-1}-P, M_{j-1}]] with P all ones."""
-    _check_one_quiver(n)
+    check_one_quiver(n)
+    import numpy as np
+
     m = np.array([[1]], dtype=np.int64)
     for _ in range(n):
         shifted = m - np.ones_like(m)
@@ -349,6 +356,17 @@ class Rep2Component:
     local_type: str | None
 
 
+def rep2_values(k: int) -> tuple[int, int, int, str | None]:
+    """(rep_dim, quot_dim, singularities, local_type) of every level-2
+    component with k = |A| mixed factors: they depend on k alone."""
+    return (
+        2 * k,
+        2 * k - 3 if k >= 2 else 0,
+        2 ** (k - 1) if k >= 3 else 0,
+        f"1 <={k - 1}=> 1" if k >= 3 else None,
+    )
+
+
 def rep2_census(n: int) -> Iterator[Rep2Component]:
     """All 3**n level-2 components, streamed: A over subsets of {1..n}, B
     over subsets of the complement; 2^{n-k} C(n,k) rows for each k = |A|."""
@@ -356,14 +374,11 @@ def rep2_census(n: int) -> Iterator[Rep2Component]:
         raise ValueError("need n >= 1")
     for a in range(1 << n):
         k = a.bit_count()
-        rep_dim = 2 * k
-        quot_dim = 2 * k - 3 if k >= 2 else 0
-        sing = 2 ** (k - 1) if k >= 3 else 0
-        local = f"1 <={k - 1}=> 1" if k >= 3 else None
+        values = rep2_values(k)
         comp = full_mask(n) ^ a
         b = 0
         while True:
-            yield Rep2Component(a, b, k, rep_dim, quot_dim, sing, local)
+            yield Rep2Component(a, b, k, *values)
             if b == comp:
                 break
             b = (b - comp) & comp

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .combinat import (
     SetPartition,
     YoungLabel,
@@ -26,7 +24,7 @@ from .combinat import (
     partitions_of_int,
     subset_str,
 )
-from .quiver import Quiver, QuiverSetting, support
+from .quiver import Quiver, QuiverSetting
 
 MAX_ENUM_GROUND = 9
 
@@ -143,6 +141,30 @@ def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
     return math.prod(multiset_coeff(lam, mu) for lam, mu in rows)
 
 
+def local_quiver_rows(s: LocalSetting, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The arrow rows and dims of local_quiver(s), in plain ints.  With
+    reduced, those of its support: the trivial-character vertex is left out
+    when its dimension m - sum(k) is 0."""
+    sizes, ks = s.sizes, s.k
+    l = s.l
+    v0 = s.m - s.k_total
+    spokes = [sz - k for sz, k in zip(sizes, ks)]
+    with_psi0 = v0 > 0 or (any(spokes) and not reduced)
+    rows = [
+        [
+            (k - 1) * (2 * sz - k - 1) if i == j else sz * kj + szj * k - k * kj
+            for j, (szj, kj) in enumerate(zip(sizes, ks))
+        ]
+        for i, (sz, k) in enumerate(zip(sizes, ks))
+    ]
+    if not with_psi0:
+        return rows, (1,) * l
+    for row, spoke in zip(rows, spokes):
+        row.append(spoke)
+    rows.append(spokes + [0])
+    return rows, (1,) * l + (v0,)
+
+
 def local_quiver(s: LocalSetting) -> QuiverSetting:
     """The quiver at a semisimple point of type s: one dimension-1 vertex
     per block with (k_i-1)(2|A_i|-k_i-1) loops, |A_i|k_j+|A_j|k_i-k_ik_j
@@ -150,29 +172,16 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     dimension m - sum(k) joined to block i by |A_i|-k_i arrows each way.
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
-    sizes = s.sizes
-    l = s.l
-    v0 = s.m - s.k_total
-    spokes = [sz - k for sz, k in zip(sizes, s.k)]
-    with_psi0 = v0 > 0 or any(spokes)
-    v = l + 1 if with_psi0 else l
-    arrows = np.zeros((v, v), dtype=np.int64)
-    for i in range(l):
-        arrows[i, i] = (s.k[i] - 1) * (2 * sizes[i] - s.k[i] - 1)
-        for j in range(i + 1, l):
-            cross = sizes[i] * s.k[j] + sizes[j] * s.k[i] - s.k[i] * s.k[j]
-            arrows[i, j] = arrows[j, i] = cross
-    if with_psi0:
-        for i in range(l):
-            arrows[i, l] = arrows[l, i] = spokes[i]
-    dims = (1,) * l + ((v0,) if with_psi0 else ())
-    return QuiverSetting(Quiver(arrows), dims)
+    rows, dims = local_quiver_rows(s)
+    return QuiverSetting(Quiver(rows), dims)
 
 
-def local_euler_matrix(s: LocalSetting) -> np.ndarray:
-    """Euler matrix of the setting: -(k^t v + v^t k + k^t k - 2 diag|A_i|)
-    bordered by -v and 1 for the trivial-character vertex, the border
-    dropped when v = (|A_i| - k_i) vanishes."""
+def local_euler_matrix(s: LocalSetting):
+    """Euler matrix of the setting, an int64 ndarray: -(k^t v + v^t k +
+    k^t k - 2 diag|A_i|) bordered by -v and 1 for the trivial-character
+    vertex, the border dropped when v = (|A_i| - k_i) vanishes."""
+    import numpy as np
+
     kvec = np.array(s.k, dtype=np.int64)
     sizes = np.array(s.sizes, dtype=np.int64)
     vvec = sizes - kvec
@@ -338,15 +347,14 @@ def smooth_point(s: LocalSetting) -> bool:
 def setting_json_obj(s: LocalSetting) -> dict:
     """Node object for graph export; the quiver is support-reduced so a
     dimension-0 trivial-character vertex is hidden."""
-    qs = local_quiver(s)
-    reduced = support(qs.quiver, qs.dims)
+    rows, dims = local_quiver_rows(s, reduced=True)
     young = s.young()
     return {
         "id": s.id(),
         "young": [[lam, mu] for lam, mu in young.rows],
-        "k": [int(k) for k in young.ks()],
-        "quiver": reduced.quiver.to_json_obj(),
-        "dims": [int(d) for d in reduced.dims],
+        "k": list(young.ks()),
+        "quiver": {"v": len(rows), "arrows": rows},
+        "dims": list(dims),
         "smooth": smooth_point(s),
     }
 

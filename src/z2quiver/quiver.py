@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class UnsupportedInputError(ValueError):
     """Input is outside the range a classification result covers."""
@@ -21,7 +19,15 @@ class UnsupportedInputError(ValueError):
 
 class Quiver:
     def __init__(self, arrows) -> None:
-        a = np.array(arrows, dtype=np.int64)
+        """Freeze arrows as an int64 matrix.  A read-only int64 ndarray that
+        owns its data is kept as it is, not copied; anything else is copied."""
+        import numpy as np
+
+        if (isinstance(arrows, np.ndarray) and arrows.dtype == np.int64
+                and arrows.flags.owndata and not arrows.flags.writeable):
+            a = arrows
+        else:
+            a = np.array(arrows, dtype=np.int64)
         if a.size == 0:
             a = a.reshape(0, 0)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -36,7 +42,7 @@ class Quiver:
         return self.arrows.shape[0]
 
     def symmetric(self) -> bool:
-        return bool(np.array_equal(self.arrows, self.arrows.T))
+        return bool((self.arrows == self.arrows.T).all())
 
     def has_loops(self) -> bool:
         return self.v > 0 and bool(self.arrows.diagonal().any())
@@ -44,9 +50,12 @@ class Quiver:
     def arrow_count(self) -> int:
         return int(self.arrows.sum())
 
-    def euler_matrix(self) -> np.ndarray:
-        """Matrix of the Euler form: identity minus the arrow matrix."""
-        return np.eye(self.v, dtype=np.int64) - self.arrows
+    def euler_matrix(self):
+        """Matrix of the Euler form, an int64 ndarray: identity minus the
+        arrow matrix."""
+        e = -self.arrows
+        e[range(self.v), range(self.v)] += 1
+        return e
 
     def to_json_obj(self) -> dict:
         return {"v": self.v, "arrows": self.arrows.tolist()}
@@ -59,7 +68,11 @@ class Quiver:
         return q
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Quiver) and np.array_equal(self.arrows, other.arrows)
+        return (
+            isinstance(other, Quiver)
+            and self.arrows.shape == other.arrows.shape
+            and bool((self.arrows == other.arrows).all())
+        )
 
     def __hash__(self) -> int:
         return hash((self.v, self.arrows.tobytes()))
@@ -105,7 +118,7 @@ def support(q: Quiver, dims) -> QuiverSetting:
     """Full subquiver on the vertices with nonzero dimension."""
     d = _check_dims(q, dims)
     keep = [i for i, x in enumerate(d) if x]
-    sub = q.arrows[np.ix_(keep, keep)]
+    sub = q.arrows[keep][:, keep]
     return QuiverSetting(Quiver(sub), tuple(d[i] for i in keep))
 
 
@@ -201,7 +214,7 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
 
     v = sq.v
     a = sq.arrows
-    neighbours = [sorted(int(j) for j in np.nonzero(a[i])[0]) for i in range(v)]
+    neighbours = [a[i].nonzero()[0].tolist() for i in range(v)]
 
     seen: set[int] = set()
     for start in range(v):

@@ -137,14 +137,15 @@ class TestOneQuiver:
         assert '  v0 -> v3 [label="1"];' in out
 
     def test_json_bytes_match_dumps(self, capsys):
-        # the row writer must emit exactly json.dumps(..., indent=2)
-        for n in range(1, 9):
+        # the row writer must emit exactly json.dumps(..., indent=2); n = 1..10
+        # covers both even and odd splits into high and low halves
+        for n in range(1, 11):
             code, out = run(capsys, "one-quiver", "--n", str(n), "--format", "json")
             assert code == 0
             assert out == json.dumps(build_one_quiver(n).to_json_obj(), indent=2) + "\n", n
 
     def test_matrix_matches_per_cell_oracle(self, capsys):
-        for n in range(1, 9):
+        for n in range(1, 11):
             assert "\n".join(format_matrix(one_quiver_euler_closed(n))) == per_cell_format_matrix(
                 one_quiver_euler_closed(n)
             ), n
@@ -170,11 +171,12 @@ class TestOneQuiver:
             labels = [subset_str(a) for a in range(1 << n)]
             assert out == joined_quiver_dot(build_one_quiver(n), labels, name="one_quiver"), n
 
-    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("fmt", ["matrix", "json", "dot"])
     def test_streamed_emitter_peak(self, fmt):
-        # the whole text at n = 10 is 3-25 MB, and the matrix behind it is
+        # the whole text at n = 10 is 3-25 MB, and the matrix behind dot is
         # cached, so the peak is what the emitter itself holds at once; the
-        # joined-text emitters peaked at 13 MiB (json) and 138 MiB (dot)
+        # joined-text emitters peaked at 13 MiB (json) and 138 MiB (dot), and
+        # matrix and json build no matrix at all
         build_one_quiver(10)
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -367,6 +369,20 @@ class TestRep2:
             code, out = run(capsys, "rep2", "--n", str(n), "--format", fmt)
             assert code == 0 and out == per_row_rep2(n, fmt), n
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_streamed_peak(self, fmt):
+        # the text at n = 10 is about 1.5 MB; the emitter holds the 2^n
+        # subset names and one A's rows at a time
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["rep2", "--n", "10", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 << 20, peak
+
     @pytest.mark.parametrize("n", ["0", "17"])
     def test_ground_refused_up_front(self, capsys, n):
         for fmt in ("text", "csv"):
@@ -446,6 +462,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "27\n"
+
+
+# Commands that never build an array, so they must run without numpy.
+NUMPY_FREE_COMMANDS = [
+    ["one-quiver", "--n", "10"],
+    ["one-quiver", "--n", "10", "--format", "json"],
+    ["graph", "--n", "9", "--m", "9", "--format", "json"],
+    ["components", "--n", "5", "--m", "6", "--orbits"],
+    ["rep2", "--n", "10", "--format", "csv"],
+    ["treelike", "--n", "4"],
+    ["graph", "--n", "5", "--m", "4"],
+    ["graph", "--n", "5", "--m", "4", "--format", "dot"],
+    ["local", "--n", "6", "--m", "5"],
+    ["local", "--n", "6", "--m", "5", "--format", "json"],
+    ["rep2", "--n", "5"],
+    ["components", "--n", "3", "--m", "2", "--format", "csv"],
+    ["canon", "--chars", "{1}+{2}", "--n", "3"],
+    ["smooth-component", "--alpha", "2,1;1,2;3,0"],
+    ["iss-dim", "--alpha", "2,1;2,1;2,1"],
+]
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import z2quiver, z2quiver.cli
+loaded = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = z2quiver.cli.main(sys.argv[1:])
+loaded.append("numpy" in sys.modules)
+print(code, *loaded)
+"""
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=[" ".join(a) for a in NUMPY_FREE_COMMANDS])
+def test_numpy_stays_unloaded(argv):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, after_import, after_main = proc.stdout.split()
+    assert (code, after_import, after_main) == ("0", "False", "False")
 
 
 def test_round_trip_spec_through_cli(capsys):

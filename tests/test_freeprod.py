@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -180,6 +181,18 @@ class TestOneQuiver:
         for n in (13, 16, 17, 0):
             with pytest.raises(ValueError):
                 build(n)
+
+    def test_build_peak_near_the_matrix(self):
+        # Quiver keeps the frozen matrix instead of copying it, so building
+        # the 8 MiB matrix at n = 10 peaks near its own size, not twice it
+        tracemalloc.start()
+        try:
+            q = build_one_quiver.__wrapped__(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.arrows.nbytes == 8 << 20
+        assert peak < 1.3 * (8 << 20), peak
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_ext_dimension_reading(self, n):

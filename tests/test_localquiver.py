@@ -26,6 +26,7 @@ from z2quiver.localquiver import (
     graph_json_obj,
     local_euler_matrix,
     local_quiver,
+    local_quiver_rows,
     setting_json_obj,
     smooth_point,
     young_diagram_slice,
@@ -181,6 +182,17 @@ class TestLocalQuiver:
             for m in range(1, n + 1):
                 for s in enumerate_settings(n, m):
                     assert local_quiver(s).quiver.symmetric()
+
+    def test_reduced_rows_match_support(self):
+        # the emitters' int rows against the Quiver route they replace
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    qs = local_quiver(s)
+                    reduced = support(qs.quiver, qs.dims)
+                    rows, dims = local_quiver_rows(s, reduced=True)
+                    assert (rows, dims) == (reduced.quiver.arrows.tolist(), reduced.dims), s
+                    assert local_quiver_rows(s) == (qs.quiver.arrows.tolist(), qs.dims), s
 
 
 class TestLocalEulerMatrix:

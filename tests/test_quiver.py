@@ -52,6 +52,19 @@ class TestQuiverBasics:
         with pytest.raises(ValueError):
             q.arrows[0, 1] = 5
 
+    def test_read_only_matrix_kept_uncopied(self):
+        frozen = np.eye(3, dtype=np.int64)
+        frozen.flags.writeable = False
+        assert Quiver(frozen).arrows is frozen
+        # a writeable array, a view and another dtype are copied
+        live = np.eye(3, dtype=np.int64)
+        q = Quiver(live)
+        live[0, 1] = 7
+        assert q.arrows is not live and q.arrows[0, 1] == 0
+        view = frozen[:2, :2]
+        assert Quiver(view).arrows is not view
+        assert Quiver(np.eye(2, dtype=np.int32)).arrows.dtype == np.int64
+
     def test_json_roundtrip(self):
         q = build_Qn(3)
         assert Quiver.from_json_obj(q.to_json_obj()) == q
