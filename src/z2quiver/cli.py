@@ -12,12 +12,12 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import sys
 from typing import Iterator
 
 from .combinat import check_ground, parse_dim_vector, subset_str
 from .freeprod import (
-    build_one_quiver,
     check_one_quiver,
     component_count,
     is_iss_smooth,
@@ -37,28 +37,12 @@ from .localquiver import (
     smooth_point,
     young_diagram_slice,
 )
-from .quiver import Quiver
 
 
-def _cell_texts(m, texts):
-    """A function from rows (or parts of rows) of the integer matrix m to
-    object arrays of their cell texts.  texts(values) turns the sorted values
-    that may occur into their texts once: every integer from min to max when
-    there are no more of them than cells, so a dense matrix of small values
-    costs no sorted copy, else the distinct values."""
-    import numpy as np
-
-    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
-    values = np.arange(lo, hi + 1) if hi - lo < m.size else np.unique(m)
-    table = np.array(texts(values.tolist()), dtype=object)
-    return lambda cells: table[np.searchsorted(values, cells)]
-
-
-def format_matrix(m) -> Iterator[str]:
-    """The lines of an integer grid, given as int rows or a 2-d ndarray,
-    entries right-aligned to the widest one, yielded row by row.  Each
-    distinct value's text is made once."""
-    rows = m.tolist() if hasattr(m, "tolist") else m
+def format_matrix(rows: list[list[int]]) -> Iterator[str]:
+    """The lines of an integer grid given as int rows, entries right-aligned
+    to the widest one, yielded row by row.  Each distinct value's text is
+    made once."""
     if not rows or not rows[0]:
         return
     values = set().union(*rows)
@@ -68,25 +52,47 @@ def format_matrix(m) -> Iterator[str]:
         yield " ".join(map(texts.__getitem__, row))
 
 
-def hamming_rows(n: int, texts: list[str], sep: str) -> Iterator[str]:
-    """The rows of the 2**n x 2**n grid whose cell (i, j) is
-    texts[popcount(i ^ j)], its cells joined by sep.
+def _hamming_blocks(n: int, block) -> Iterator[list]:
+    """For each row i of a 2**n x 2**n grid whose cell (i, j) depends only on
+    popcount(i ^ j), in order, the list of the row's low-half blocks.
 
     With i and j split into their high bits and their low h = n // 2 bits,
-    popcount(i ^ j) = popcount(i_hi ^ j_hi) + popcount(i_lo ^ j_lo).  So a
-    row is the join of 2**(n-h) low-half blocks, each picked by the distance
-    of its high half from a table of (n-h+1) * 2**h prebuilt block texts.
-    The table holds O(n 2**n) text, and no 4**n grid is ever built."""
+    popcount(i ^ j) = popcount(i_hi ^ j_hi) + popcount(i_lo ^ j_lo).  So
+    block(ds), where ds lists d + popcount(i_lo ^ j_lo) over j_lo, is made
+    once for each high-half distance d and each i_lo, and a row picks its
+    2**(n-h) blocks by the distances of their high halves.  The table holds
+    (n-h+1) * 2**h blocks, and no 4**n grid is ever built."""
     h = n // 2
-    low = range(1 << h)
-    blocks = [
-        [sep.join([texts[d + (a ^ b).bit_count()] for b in low]) for a in low]
-        for d in range(n - h + 1)
-    ]
-    for i_hi in range(1 << (n - h)):
-        picked = [blocks[(i_hi ^ j_hi).bit_count()] for j_hi in range(1 << (n - h))]
+    low, high = range(1 << h), range(1 << (n - h))
+    blocks = [[block([d + (a ^ b).bit_count() for b in low]) for a in low] for d in range(n - h + 1)]
+    for i_hi in high:
+        picked = [blocks[(i_hi ^ j_hi).bit_count()] for j_hi in high]
         for i_lo in low:
-            yield sep.join([block[i_lo] for block in picked])
+            yield [row[i_lo] for row in picked]
+
+
+def hamming_rows(n: int, texts: list[str], sep: str) -> Iterator[str]:
+    """The rows of the 2**n x 2**n grid whose cell (i, j) is
+    texts[popcount(i ^ j)], its cells joined by sep, one low-half block at
+    a time."""
+    return map(sep.join, _hamming_blocks(n, lambda ds: sep.join([texts[d] for d in ds])))
+
+
+def one_quiver_dot(n: int) -> Iterator[str]:
+    """The DOT text of the character quiver on the 2**n subsets, in pieces,
+    one per vertex row of arrows: |A delta B| - 1 arrows from A to B where
+    |A delta B| >= 2.  Column j's arrow texts, one per distance, are made
+    once; a row picks them by the Hamming split, drops the distances below
+    2 and joins the rest with its own tail text."""
+    cells = [[f'v{j} [label="{d - 1}"];\n' if d >= 2 else "" for d in range(n + 1)] for j in range(1 << n)]
+    width = 1 << n // 2  # the columns of one low-half block
+    columns = [cells[j:j + width] for j in range(0, 1 << n, width)]
+    yield "digraph one_quiver {\n"
+    yield "".join(f'  v{i} [label="{label}"];\n' for i, label in enumerate(_subset_names(n)))
+    for i, dists in enumerate(_hamming_blocks(n, lambda ds: ds)):
+        row = itertools.chain.from_iterable(map(map, itertools.repeat(operator.getitem), columns, dists))
+        yield f"  v{i} -> ".join(["", *filter(None, row)])
+    yield "}\n"
 
 
 def write_json(obj) -> None:
@@ -96,26 +102,6 @@ def write_json(obj) -> None:
     while batch := "".join(itertools.islice(chunks, 1 << 16)):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
-
-
-def quiver_dot(q: Quiver, labels: list[str], name: str = "quiver") -> Iterator[str]:
-    """The DOT text of q in pieces, one per vertex row of arrows, so the
-    whole text is never held at once.  Each arrow line is joined from three
-    prebuilt texts (tail, head, count), so no text is formatted per arrow."""
-    import numpy as np
-
-    yield f"digraph {name} {{\n"
-    yield "".join(f'  v{i} [label="{label}"];\n' for i, label in enumerate(labels))
-    heads = np.array([f'v{j} [label="' for j in range(q.v)], dtype=object)
-    counts = _cell_texts(q.arrows, lambda values: [f'{k}"];\n' for k in values])
-    for i, row in enumerate(q.arrows):
-        js = np.flatnonzero(row)
-        line = np.empty((js.size, 3), dtype=object)
-        line[:, 0] = f"  v{i} -> "
-        line[:, 1] = heads[js]
-        line[:, 2] = counts(row[js])
-        yield "".join(line.ravel().tolist())
-    yield "}\n"
 
 
 def graph_dot(g) -> str:
@@ -168,7 +154,7 @@ def cmd_components(args) -> int:
 def cmd_one_quiver(args) -> int:
     """The Euler matrix 1 - |A delta B| (matrix) and the arrows
     max(|A delta B| - 1, 0) (json) are written row by row from the Hamming
-    closed form; dot lists the arrows of build_one_quiver."""
+    closed form, and so are the arrows of dot."""
     n = args.n
     check_one_quiver(n)
     out = sys.stdout
@@ -186,7 +172,7 @@ def cmd_one_quiver(args) -> int:
             sep = ",\n"
         out.write("\n  ]\n}\n")
     else:
-        out.writelines(quiver_dot(build_one_quiver(n), _subset_names(n), name="one_quiver"))
+        out.writelines(one_quiver_dot(n))
     return 0
 
 

@@ -24,7 +24,7 @@ from .combinat import (
     parse_subset,
     subset_str,
 )
-from .quiver import Quiver, is_simple_dimvector
+from .quiver import Quiver, _is_simple_support
 
 # Most pairs, orbit count times n, that orbit_representatives lists.
 MAX_ORBIT_PAIRS = 10**6
@@ -320,7 +320,7 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
         raise ValueError("the zero dimension vector has no representations")
     masks, beta = zip(*chain_of(alpha).counts)
     arrows = [[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]
-    return is_simple_dimvector(Quiver(arrows), beta)
+    return _is_simple_support(arrows, beta)
 
 
 def iss_dim(alpha: DimVector) -> int:

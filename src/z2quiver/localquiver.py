@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .combinat import (
@@ -39,6 +40,7 @@ class LocalSetting:
     m: int
     blocks: tuple[int, ...]
     k: tuple[int, ...]
+    _young: YoungLabel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
@@ -57,6 +59,10 @@ class LocalSetting:
         )
         object.__setattr__(self, "blocks", tuple(b for b, _ in order))
         object.__setattr__(self, "k", tuple(k for _, k in order))
+        rows = tuple(Counter(self.sizes).items())  # (size, blocks of that size), sizes descending
+        ks = iter(self.k)
+        k_rows = tuple(tuple(itertools.islice(ks, count)) for _, count in rows)
+        object.__setattr__(self, "_young", YoungLabel(rows, k_rows))
 
     @property
     def l(self) -> int:
@@ -71,13 +77,8 @@ class LocalSetting:
         return sum(self.k)
 
     def young(self) -> YoungLabel:
-        rows: list[tuple[int, int]] = []
-        k_rows: list[tuple[int, ...]] = []
-        for size, group in itertools.groupby(zip(self.sizes, self.k), key=lambda x: x[0]):
-            ks = tuple(k for _, k in group)
-            rows.append((size, len(ks)))
-            k_rows.append(ks)
-        return YoungLabel(tuple(rows), tuple(k_rows))
+        """The Young label of the setting, built once by the constructor."""
+        return self._young
 
     def id(self) -> str:
         return self.young().label()
@@ -100,7 +101,7 @@ def _representative_blocks(n: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 def _check_level(n: int, m: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(
-            f"(m-1,1)^n admits no simple representations for m > n; got n={n}, m={m}"
+            f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={m}"
         )
     if n > MAX_ENUM_GROUND:
         raise ValueError(f"setting enumeration is capped at n <= {MAX_ENUM_GROUND}")

@@ -10,6 +10,7 @@ operations are pure; Quiver instances freeze their matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -96,7 +97,10 @@ class QuiverSetting:
 
 
 def _check_dims(q: Quiver, dims) -> tuple[int, ...]:
-    d = tuple(int(x) for x in dims)
+    try:  # numpy integers pass; a float or a string is refused, not rounded or parsed
+        d = tuple(map(operator.index, dims))
+    except TypeError:
+        raise ValueError(f"vertex dimensions must be integers, got {dims!r}") from None
     if len(d) != q.v:
         raise ValueError(f"expected {q.v} vertex dimensions, got {len(d)}")
     if any(x < 0 for x in d):
@@ -114,12 +118,17 @@ def euler_form(q: Quiver, alpha, beta) -> int:
     )
 
 
+def _support_rows(rows: list[list[int]], d: tuple[int, ...]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The int arrow rows and the dims of the full subquiver on the vertices
+    with nonzero dimension in d."""
+    keep = [i for i, x in enumerate(d) if x]
+    return [[rows[i][j] for j in keep] for i in keep], tuple(d[i] for i in keep)
+
+
 def support(q: Quiver, dims) -> QuiverSetting:
     """Full subquiver on the vertices with nonzero dimension."""
-    d = _check_dims(q, dims)
-    keep = [i for i, x in enumerate(d) if x]
-    sub = q.arrows[keep][:, keep]
-    return QuiverSetting(Quiver(sub), tuple(d[i] for i in keep))
+    rows, d = _support_rows(q.arrows.tolist(), _check_dims(q, dims))
+    return QuiverSetting(Quiver(rows), d)
 
 
 def is_strongly_connected(q: Quiver) -> bool:
@@ -174,19 +183,21 @@ def is_simple_dimvector(q: Quiver, dims) -> bool:
     d = _check_dims(q, dims)
     if not any(d):
         raise ValueError("the zero dimension vector is not allowed")
-    keep = [i for i, x in enumerate(d) if x]
-    rows = q.arrows.tolist()
-    a = [[rows[i][j] for j in keep] for i in keep]
-    sd = [d[i] for i in keep]
-    if len(sd) == 1:
-        return a[0][0] >= 2 or sd[0] == 1
+    return _is_simple_support(*_support_rows(q.arrows.tolist(), d))
+
+
+def _is_simple_support(a: list[list[int]], dims) -> bool:
+    """is_simple_dimvector on the int arrow rows a of a support and its
+    positive dims."""
+    if len(dims) == 1:
+        return a[0][0] >= 2 or dims[0] == 1
     if _is_oriented_cycle(a):
-        return all(x == 1 for x in sd)
+        return all(x == 1 for x in dims)
     if not _strongly_connected(a):
         return False
-    for i, x in enumerate(sd):
-        into = sum(y * row[i] for y, row in zip(sd, a))
-        out = sum(r * y for r, y in zip(a[i], sd))
+    for i, x in enumerate(dims):
+        into = sum(y * row[i] for y, row in zip(dims, a))
+        out = sum(r * y for r, y in zip(a[i], dims))
         if x > into or x > out:
             return False
     return True
@@ -205,16 +216,14 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
     the underlying classification and are rejected.
     """
     d = _check_dims(q, dims)
-    if not q.symmetric():
+    rows = q.arrows.tolist()
+    if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("smoothness test needs a symmetric quiver")
-    sub = support(q, d)
-    sq, sd = sub.quiver, sub.dims
-    if sq.has_loops():
+    a, sd = _support_rows(rows, d)
+    v = len(sd)
+    if any(a[i][i] for i in range(v)):
         raise UnsupportedInputError("smoothness classification does not cover loops")
-
-    v = sq.v
-    a = sq.arrows
-    neighbours = [a[i].nonzero()[0].tolist() for i in range(v)]
+    neighbours = [[j for j, k in enumerate(row) if k] for row in a]
 
     seen: set[int] = set()
     for start in range(v):
@@ -237,12 +246,12 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
             if deg >= 3 and sd[i] != 1:
                 return False
             if deg == 2 and sd[i] >= 2:
-                if any(a[i, j] != 1 for j in neighbours[i]):
+                if any(a[i][j] != 1 for j in neighbours[i]):
                     return False
                 if sd[i] >= 3 and all(sd[j] != 1 for j in neighbours[i]):
                     return False
         for i, j in edges:
-            k = int(a[i, j])
+            k = a[i][j]
             if k >= 2:
                 lo, hi = sorted((sd[i], sd[j]))
                 if lo != 1 or hi < k:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from z2quiver.cli import format_matrix, main
+from z2quiver.cli import build_parser, format_matrix, main
 from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
 from z2quiver.freeprod import (
     MAX_COUNT_DIGITS,
@@ -103,7 +104,7 @@ def per_cell_format_matrix(m: np.ndarray) -> str:
 
 
 def joined_quiver_dot(q, labels: list[str], name: str) -> str:
-    """Oracle for quiver_dot: every line built first, then joined."""
+    """Oracle for one-quiver --format dot: every line built first, then joined."""
     lines = [f"digraph {name} {{"]
     for i, label in enumerate(labels):
         lines.append(f'  v{i} [label="{label}"];')
@@ -146,9 +147,8 @@ class TestOneQuiver:
 
     def test_matrix_matches_per_cell_oracle(self, capsys):
         for n in range(1, 11):
-            assert "\n".join(format_matrix(one_quiver_euler_closed(n))) == per_cell_format_matrix(
-                one_quiver_euler_closed(n)
-            ), n
+            m = one_quiver_euler_closed(n)
+            assert "\n".join(format_matrix(m.tolist())) == per_cell_format_matrix(m), n
             code, out = run(capsys, "one-quiver", "--n", str(n))
             assert code == 0 and out == per_cell_format_matrix(one_quiver_euler_closed(n)) + "\n"
         for n in range(1, 7):
@@ -156,13 +156,13 @@ class TestOneQuiver:
                 for s in enumerate_settings(n, m):
                     qs = local_quiver(s)
                     for matrix in (support(qs.quiver, qs.dims).quiver.arrows, local_euler_matrix(s)):
-                        assert "\n".join(format_matrix(matrix)) == per_cell_format_matrix(matrix), s
+                        assert "\n".join(format_matrix(matrix.tolist())) == per_cell_format_matrix(matrix), s
 
     def test_matrix_sparse_values(self):
-        # more distinct-value range than cells: the table holds the distinct values only
+        # far-apart, negative and repeated values, and an empty row
         for matrix in ([[0, 10**12], [-5, 3]], [[-(10**9)]], [[7, 7, 7]], [[]]):
             m = np.array(matrix, dtype=np.int64)
-            assert "\n".join(format_matrix(m)) == per_cell_format_matrix(m), matrix
+            assert "\n".join(format_matrix(m.tolist())) == per_cell_format_matrix(m), matrix
 
     def test_dot_bytes_match_joined_oracle(self, capsys):
         for n in range(1, 7):
@@ -173,11 +173,9 @@ class TestOneQuiver:
 
     @pytest.mark.parametrize("fmt", ["matrix", "json", "dot"])
     def test_streamed_emitter_peak(self, fmt):
-        # the whole text at n = 10 is 3-25 MB, and the matrix behind dot is
-        # cached, so the peak is what the emitter itself holds at once; the
-        # joined-text emitters peaked at 13 MiB (json) and 138 MiB (dot), and
-        # matrix and json build no matrix at all
-        build_one_quiver(10)
+        # the whole text at n = 10 is 3-25 MB, so the peak is what the
+        # emitter itself holds at once; the joined-text emitters peaked at
+        # 13 MiB (json) and 138 MiB (dot), and no format builds a matrix
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -227,6 +225,13 @@ class TestGraph:
         captured = capsys.readouterr()
         assert code == 1
         assert "simple" in captured.err
+
+    @pytest.mark.parametrize("command, m", [("graph", "0"), ("graph", "5"), ("local", "0")])
+    def test_level_error_names_the_range(self, capsys, command, m):
+        code = main([command, "--n", "4", "--m", m])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: (m-1,1)^n admits simple representations only for 1 <= m <= n; got n=4, m={m}\n"
 
 
 class TestLocal:
@@ -468,6 +473,9 @@ def test_module_entry_point():
 NUMPY_FREE_COMMANDS = [
     ["one-quiver", "--n", "10"],
     ["one-quiver", "--n", "10", "--format", "json"],
+    ["one-quiver", "--n", "10", "--format", "dot"],
+    ["simple", "--alpha", "1,1;1,1"],
+    ["iss-dim", "--alpha", "1,1;1,1"],
     ["graph", "--n", "9", "--m", "9", "--format", "json"],
     ["components", "--n", "5", "--m", "6", "--orbits"],
     ["rep2", "--n", "10", "--format", "csv"],
@@ -500,6 +508,13 @@ def test_numpy_stays_unloaded(argv):
     assert proc.returncode == 0, proc.stderr
     code, after_import, after_main = proc.stdout.split()
     assert (code, after_import, after_main) == ("0", "False", "False")
+
+
+def test_numpy_free_commands_cover_every_subcommand():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = set(sub.choices) - {argv[0] for argv in NUMPY_FREE_COMMANDS}
+    assert not missing, f"add each subcommand to NUMPY_FREE_COMMANDS: {sorted(missing)}"
 
 
 def test_round_trip_spec_through_cli(capsys):

@@ -104,6 +104,24 @@ class TestEulerForm:
         with pytest.raises(ValueError):
             euler_form(build_Qn(2), [1, 0, 1], [1, 0, 1, 0])
 
+    def test_non_integer_dims_refused(self):
+        # int() read 1.9 as 1, 1.5 as 1 and "2" as 2
+        with pytest.raises(ValueError, match="must be integers"):
+            euler_form(pair_quiver(1), [1.9, 0], [1, 0])
+        with pytest.raises(ValueError, match="must be integers"):
+            is_simple_dimvector(pair_quiver(2), [1.5, 1])
+        with pytest.raises(ValueError, match="must be integers"):
+            support(pair_quiver(1), ["2", 1])
+        with pytest.raises(ValueError, match="must be integers"):
+            is_smooth_setting(pair_quiver(1), [1, 2.0])
+
+    def test_numpy_integer_dims_accepted(self):
+        q = pair_quiver(2)
+        dims = np.array([3, 1], dtype=np.int64)
+        assert euler_form(q, dims, dims) == euler_form(q, (3, 1), (3, 1))
+        assert is_simple_dimvector(q, [np.int32(1), np.int64(1)])
+        assert support(q, dims).dims == (3, 1)
+
     def test_exact_at_huge_dims(self):
         # int64 arithmetic wrapped these to 0 and +2^62
         q = pair_quiver(4)
