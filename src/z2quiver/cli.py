@@ -186,8 +186,9 @@ def cmd_graph(args) -> int:
         print(f"degeneration graph n={g.n} m={g.m}: {len(g.nodes)} nodes, {len(g.edges)} edges")
         for s in g.nodes:
             print(_setting_text(s))
+        ids = [s.id() for s in g.nodes]
         for i, j in g.edges:
-            print(f"{g.nodes[i].id()} -> {g.nodes[j].id()}")
+            print(f"{ids[i]} -> {ids[j]}")
     return 0
 
 

@@ -5,7 +5,9 @@ and sum k_i <= m; it records the decomposition type of a semisimple point,
 one simple summand of dimension k_i supported on the block A_i plus the
 trivial character with multiplicity m - sum k_i.  Settings are identified
 up to permutations of the ground set by their Young label, which is how
-degeneration graphs are drawn.
+degeneration graphs are drawn.  The enumeration, the graphs and the moves
+work on that label as the descending tuple of (size, k) block pairs, and
+build a LocalSetting only for what they return.
 """
 
 from __future__ import annotations
@@ -17,67 +19,79 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .combinat import (
-    SetPartition,
     YoungLabel,
+    check_ground,
     full_mask,
-    min_element,
     multiset_coeff,
     partitions_of_int,
     subset_str,
 )
 from .quiver import Quiver, QuiverSetting
 
-MAX_ENUM_GROUND = 9
+# A setting's class label: its (size, k) block pairs in descending order.
+Label = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class LocalSetting:
     """One local quiver setting (A_1..A_l; k_1..k_l) for the level-m
     component over a ground set of size n.  Blocks are bitmasks; the
-    constructor sorts them canonically (size desc, k desc, min element asc)."""
+    constructor sorts them canonically (size desc, k desc, min element asc)
+    and keeps their sizes."""
 
     n: int
     m: int
     blocks: tuple[int, ...]
     k: tuple[int, ...]
-    _young: YoungLabel = field(init=False, compare=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _young: YoungLabel | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        SetPartition(self.n, self.blocks)  # validates disjoint cover
-        if len(self.k) != len(self.blocks):
+        n, m, blocks, ks = self.n, self.m, self.blocks, self.k
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        check_ground(n)
+        union = 0
+        for b in blocks:  # a disjoint cover of {1..n} by nonempty subset masks
+            if not isinstance(b, int) or b < 0 or b >> n:
+                raise ValueError(f"{b!r} is not a subset mask over {{1..{n}}}")
+            if b == 0:
+                raise ValueError("blocks must be nonempty")
+            if b & union:
+                raise ValueError("blocks must be pairwise disjoint")
+            union |= b
+        if union != full_mask(n):
+            raise ValueError("blocks must cover the ground set")
+        if len(ks) != len(blocks):
             raise ValueError("one k value per block is required")
-        for b, k in zip(self.blocks, self.k):
+        for b, k in zip(blocks, ks):
             if not 1 <= k <= b.bit_count():
                 raise ValueError(f"k={k} out of range [1, {b.bit_count()}] for block {subset_str(b)}")
-        if sum(self.k) > self.m:
-            raise ValueError(f"sum of k = {sum(self.k)} exceeds the level m = {self.m}")
-        order = sorted(
-            zip(self.blocks, self.k),
-            key=lambda bk: (-bk[0].bit_count(), -bk[1], min_element(bk[0])),
-        )
-        object.__setattr__(self, "blocks", tuple(b for b, _ in order))
-        object.__setattr__(self, "k", tuple(k for _, k in order))
-        rows = tuple(Counter(self.sizes).items())  # (size, blocks of that size), sizes descending
-        ks = iter(self.k)
-        k_rows = tuple(tuple(itertools.islice(ks, count)) for _, count in rows)
-        object.__setattr__(self, "_young", YoungLabel(rows, k_rows))
+        if sum(ks) > m:
+            raise ValueError(f"sum of k = {sum(ks)} exceeds the level m = {m}")
+        # the lowest bit orders blocks as their smallest element does; no two
+        # blocks share it, so the blocks themselves are never compared
+        order = sorted(((b.bit_count(), k, -(b & -b), b) for b, k in zip(blocks, ks)), reverse=True)
+        sizes, ks, _, blocks = zip(*order)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "k", ks)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def l(self) -> int:
         return len(self.blocks)
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
-    @property
     def k_total(self) -> int:
         return sum(self.k)
 
     def young(self) -> YoungLabel:
-        """The Young label of the setting, built once by the constructor."""
+        """The Young label of the setting, built on the first call."""
+        if self._young is None:
+            rows = tuple(Counter(self.sizes).items())  # (size, blocks of that size), sizes descending
+            ks = iter(self.k)
+            k_rows = tuple(tuple(itertools.islice(ks, count)) for _, count in rows)
+            object.__setattr__(self, "_young", YoungLabel(rows, k_rows))
         return self._young
 
     def id(self) -> str:
@@ -88,30 +102,41 @@ class LocalSetting:
         return f"({blocks}; k={','.join(str(k) for k in self.k)})"
 
 
-def _representative_blocks(n: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    # consecutive runs 1..s1, s1+1..s1+s2, ... give the canonical class rep
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append(full_mask(start + s) ^ full_mask(start))
-        start += s
-    return tuple(blocks)
-
-
 def _check_level(n: int, m: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(
             f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={m}"
         )
-    if n > MAX_ENUM_GROUND:
-        raise ValueError(f"setting enumeration is capped at n <= {MAX_ENUM_GROUND}")
+    check_ground(n)
 
 
-def _diagram_settings(n: int, m: int, sizes: tuple[int, ...]) -> Iterator[LocalSetting]:
-    """Canonical representatives of the settings on one Young diagram
-    (sizes weakly decreasing): one weakly decreasing k-multiset per row
-    class, kept when sum k <= m."""
-    blocks = _representative_blocks(n, sizes)
+def _node_key(sizes: tuple[int, ...], ks: tuple[int, ...]) -> tuple:
+    """Sorted by this key in reverse, settings take the order of
+    YoungLabel.sort_key: total k descending, then fewer blocks, coarser
+    diagrams and larger k first.  Distinct labels have distinct keys."""
+    return sum(ks), -len(ks), sizes, ks
+
+
+def _label_key(label: Label) -> tuple:
+    return _node_key(*zip(*label))
+
+
+def _setting(n: int, m: int, label: Label) -> LocalSetting:
+    """The canonical representative of a label: consecutive runs 1..s1,
+    s1+1..s1+s2, ... as blocks."""
+    sizes, ks = zip(*label)
+    blocks = []
+    start = 0
+    for s in sizes:
+        blocks.append(full_mask(s) << start)
+        start += s
+    return LocalSetting(n, m, tuple(blocks), ks)
+
+
+def _diagram_labels(m: int, sizes: tuple[int, ...]) -> Iterator[Label]:
+    """The labels of the settings on one Young diagram (sizes weakly
+    decreasing): one weakly decreasing k-multiset per row class, kept when
+    sum k <= m."""
     per_class = [
         list(itertools.combinations_with_replacement(range(size, 0, -1), len(list(group))))
         for size, group in itertools.groupby(sizes)
@@ -119,16 +144,20 @@ def _diagram_settings(n: int, m: int, sizes: tuple[int, ...]) -> Iterator[LocalS
     for choice in itertools.product(*per_class):
         ks = tuple(k for ks in choice for k in ks)
         if sum(ks) <= m:
-            yield LocalSetting(n, m, blocks, ks)
+            yield tuple(zip(sizes, ks))
+
+
+def _labels(n: int, m: int) -> list[Label]:
+    """The labels of all settings, in node order."""
+    _check_level(n, m)
+    labels = (label for sizes in partitions_of_int(n) for label in _diagram_labels(m, sizes))
+    return sorted(labels, key=_label_key, reverse=True)
 
 
 def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
     """Canonical representatives of all settings up to ground-set
     permutation, sorted with the whole-block, maximal-k node first."""
-    _check_level(n, m)
-    out = [s for sizes in partitions_of_int(n) for s in _diagram_settings(n, m, sizes)]
-    out.sort(key=lambda s: s.young().sort_key())
-    return out
+    return [_setting(n, m, label) for label in _labels(n, m)]
 
 
 def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
@@ -255,47 +284,47 @@ def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
     return place(0, tuple(sorted(zip(s.sizes, s.k))))
 
 
-def _k_lowerings(s: LocalSetting) -> Iterator[LocalSetting]:
-    """The moves that keep the Young diagram: lower one k_i >= 2 by one."""
-    for i in range(s.l):
-        if s.k[i] >= 2:
-            ks = list(s.k)
-            ks[i] -= 1
-            yield LocalSetting(s.n, s.m, s.blocks, tuple(ks))
+def _moves(label: Label, splits: bool = True) -> Iterator[tuple[int, Label]]:
+    """The one-step degenerations of a setting with the given label, one per
+    target class, as (i, parts): the pair i, the first that carries its
+    (size, k), gives way to the pairs parts.  Each distinct (size, k) makes
+    its k-lowering (size, k - 1) when k >= 2 and, with splits, every
+    (s_a, k_a) + (size - s_a, k - k_a) with s_a <= size - s_a (and
+    k_a <= k - k_a when the halves are equal) and each k within its part.
+    Distinct (size, k) pairs lead to distinct targets, so the work follows
+    the output, not the 2^(size-1) labelled splits of a block."""
+    for i, (size, k) in enumerate(label):
+        if i and label[i - 1] == (size, k):
+            continue
+        if k >= 2:
+            yield i, ((size, k - 1),)
+        if splits:
+            for s_a in range(1, size // 2 + 1):
+                s_b = size - s_a
+                top = min(s_a, k - 1, k // 2 if s_a == s_b else k)
+                for k_a in range(max(1, k - s_b), top + 1):
+                    yield i, ((s_a, k_a), (s_b, k - k_a))
 
 
 def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     """One-step degenerations, up to ground-set permutation: lower a single
     k_i >= 2 by one, or split one block into two nonempty parts whose k
-    values sum to k_i.  Returns canonical representatives of the distinct
-    target classes, sorted.
-
-    The moves are made per distinct (size, k) block, from the first block
-    carrying it: its k-lowering, and every split into (s_a, k_a) +
-    (size - s_a, k - k_a) with s_a <= size - s_a (and k_a <= k - k_a when
-    the halves are equal), part A being the block's lowest s_a elements.
-    Distinct (size, k) blocks lead to distinct targets, so each target is
-    built once and the work follows the output, not the 2^(size-1)
-    labelled splits of a block."""
+    values sum to k_i.  Returns a representative of each distinct target
+    class, sorted, labelled relative to s: the moves of _moves applied to
+    the first block carrying each (size, k), a split's part A being the
+    block's lowest s_a elements."""
+    label = tuple(zip(s.sizes, s.k))
     moves = []
-    seen: set[tuple[int, int]] = set()
-    for i, (block, k) in enumerate(zip(s.blocks, s.k)):
-        size = block.bit_count()
-        if (size, k) in seen:
-            continue
-        seen.add((size, k))
-        if k >= 2:
-            moves.append(LocalSetting(s.n, s.m, s.blocks, s.k[:i] + (k - 1,) + s.k[i + 1 :]))
-        elems = [1 << e for e in range(s.n) if block >> e & 1]
-        part_a = 0
-        for s_a in range(1, size // 2 + 1):
-            part_a |= elems[s_a - 1]
-            s_b = size - s_a
-            blocks = s.blocks[:i] + (part_a, block ^ part_a) + s.blocks[i + 1 :]
-            top = min(s_a, k - 1, k // 2 if s_a == s_b else k)
-            for k_a in range(max(1, k - s_b), top + 1):
-                moves.append(LocalSetting(s.n, s.m, blocks, s.k[:i] + (k_a, k - k_a) + s.k[i + 1 :]))
-    return sorted(moves, key=lambda t: t.young().sort_key())
+    for i, parts in _moves(label):
+        blocks = s.blocks
+        if len(parts) == 2:
+            part_b = blocks[i]
+            for _ in range(parts[0][0]):  # part A: the lowest s_a elements
+                part_b &= part_b - 1
+            blocks = blocks[:i] + (blocks[i] ^ part_b, part_b) + blocks[i + 1 :]
+        ks = s.k[:i] + tuple(k for _, k in parts) + s.k[i + 1 :]
+        moves.append(LocalSetting(s.n, s.m, blocks, ks))
+    return sorted(moves, key=lambda t: _node_key(t.sizes, t.k), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -311,14 +340,24 @@ class DegenerationGraph:
     edges: tuple[tuple[int, int], ...]
 
 
+def _graph(n: int, m: int, labels: list[Label], splits: bool) -> DegenerationGraph:
+    """The graph on the settings of the labels, given in node order, with an
+    edge to the target of each move, its label re-sorted; every target of a
+    move is a label of the list."""
+    index = {label: i for i, label in enumerate(labels)}
+    edges = [
+        (i, index[tuple(sorted(label[:j] + parts + label[j + 1 :], reverse=True))])
+        for i, label in enumerate(labels)
+        for j, parts in _moves(label, splits)
+    ]
+    nodes = tuple(_setting(n, m, label) for label in labels)
+    return DegenerationGraph(n, m, nodes, tuple(sorted(edges)))
+
+
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:
-    nodes = enumerate_settings(n, m)
-    index = {s.young(): i for i, s in enumerate(nodes)}
-    edges = []
-    for i, s in enumerate(nodes):
-        for t in elementary_moves(s):
-            edges.append((i, index[t.young()]))
-    return DegenerationGraph(n, m, tuple(nodes), tuple(sorted(set(edges))))
+    """Nodes and edges come from the labels alone: a setting is built only
+    for each node."""
+    return _graph(n, m, _labels(n, m), True)
 
 
 def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationGraph:
@@ -330,10 +369,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
     shape = tuple(sorted(sizes, reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
         raise ValueError(f"{sizes} is not a diagram of {n}")
-    nodes = sorted(_diagram_settings(n, m, shape), key=lambda s: s.young().sort_key())
-    index = {s.young(): i for i, s in enumerate(nodes)}
-    edges = {(i, index[t.young()]) for i, s in enumerate(nodes) for t in _k_lowerings(s)}
-    return DegenerationGraph(n, m, tuple(nodes), tuple(sorted(edges)))
+    return _graph(n, m, sorted(_diagram_labels(m, shape), key=_label_key, reverse=True), False)
 
 
 def smooth_point(s: LocalSetting) -> bool:

@@ -28,7 +28,10 @@ class Quiver:
                 and arrows.flags.owndata and not arrows.flags.writeable):
             a = arrows
         else:
-            a = np.array(arrows, dtype=np.int64)
+            try:
+                a = np.array(arrows, dtype=np.int64)
+            except OverflowError:
+                raise ValueError("arrow counts must fit in a signed 64-bit integer") from None
         if a.size == 0:
             a = a.reshape(0, 0)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -49,7 +52,8 @@ class Quiver:
         return self.v > 0 and bool(self.arrows.diagonal().any())
 
     def arrow_count(self) -> int:
-        return int(self.arrows.sum())
+        """The total number of arrows, summed exactly in Python ints."""
+        return sum(map(sum, self.arrows.tolist()))
 
     def euler_matrix(self):
         """Matrix of the Euler form, an int64 ndarray: identity minus the

@@ -536,7 +536,9 @@ CONTRACT_CASES = [
     (["components", "--n", "16", "--m", "1000", "--orbits"], 1),
     (["components", "--n", "40", "--m", "1", "--orbits"], 0),
     (["treelike", "--n", "16"], 0),
-    (["graph", "--n", "10", "--m", "3"], 1),
+    (["graph", "--n", "17", "--m", "3"], 1),
+    (["graph", "--n", "16", "--m", "16", "--format", "json"], 0),
+    (["local", "--n", "16", "--m", "16"], 0),
     (["simple", "--alpha", "(1,0)*1000000000"], 1),
     (["canon", "--chars", "{1}^1000000000000000000+{2,3}^1000000000000000000"], 0),
     (["components", "--n", "1000000000", "--m", "2"], 1),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -63,6 +64,49 @@ class TestLocalSetting:
             LocalSetting(3, 4, whole(3), (3,))  # m > n
         with pytest.raises(ValueError):
             LocalSetting(3, 3, blocks_of((1, 2),), (1,))  # not a partition
+
+    @pytest.mark.parametrize(
+        "n,m,blocks,k,message",
+        [
+            (3, 3, blocks_of((1, 2), (2, 3)), (1, 1), "pairwise disjoint"),
+            (3, 3, blocks_of((1, 2),), (1,), "cover the ground set"),
+            (3, 3, (0,) + whole(3), (1, 1), "nonempty"),
+            (3, 3, (0b1111,), (1,), r"not a subset mask over \{1..3\}"),
+            (3, 3, (7.0,), (1,), "not a subset mask"),
+            (3, 3, ("7",), (1,), "not a subset mask"),
+            (3, 3, (-1,), (1,), "not a subset mask"),
+            (3, 3, whole(3), (4,), r"k=4 out of range \[1, 3\] for block \{1,2,3\}"),
+            (3, 3, whole(3), (0,), "k=0 out of range"),
+            (3, 2, whole(3), (3,), "sum of k = 3 exceeds the level m = 2"),
+            (3, 3, blocks_of((1,), (2, 3)), (1,), "one k value per block"),
+            (3, 4, whole(3), (3,), "need 1 <= m <= n"),
+            (17, 17, whole(17), (17,), "ground-set size"),
+        ],
+        ids=["overlap", "gap", "empty-block", "mask-past-n", "float-block", "str-block", "negative-block",
+             "k-above-size", "k-zero", "sum-k-above-m", "k-count", "m-above-n", "n-past-16"],
+    )
+    def test_refuses_malformed(self, n, m, blocks, k, message):
+        with pytest.raises(ValueError, match=message):
+            LocalSetting(n, m, blocks, k)
+
+    def test_order_sizes_and_young_match_labelled_construction(self):
+        # oracle: the block order (size desc, k desc, smallest element asc),
+        # the sizes and the Young label rebuilt from the labelled blocks
+        rng = random.Random(7)
+        for part in enumerate_set_partitions(6):
+            blocks = list(part.blocks)
+            rng.shuffle(blocks)
+            ks = tuple(rng.randint(1, b.bit_count()) for b in blocks)
+            s = LocalSetting(6, 6, tuple(blocks), ks)
+            order = sorted(zip(blocks, ks), key=lambda bk: (-bk[0].bit_count(), -bk[1], min_element(bk[0])))
+            assert (s.blocks, s.k) == (tuple(b for b, _ in order), tuple(k for _, k in order))
+            assert s.sizes == tuple(b.bit_count() for b in s.blocks)
+            rows = tuple((size, len(list(run))) for size, run in itertools.groupby(s.sizes))
+            k_rows, ks_left = [], list(s.k)
+            for _, mu in rows:
+                k_rows.append(tuple(ks_left[:mu]))
+                del ks_left[:mu]
+            assert s.young() == YoungLabel(rows, tuple(k_rows))
 
     def test_young_and_id(self):
         s = LocalSetting(4, 4, blocks_of((1, 2, 3), (4,)), (2, 1))
@@ -332,7 +376,7 @@ def labelled_elementary_moves(s: LocalSetting) -> list[LocalSetting]:
 
 
 class TestElementaryMoves:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_labelled_splits(self, n):
         # the same representatives, blocks included, in the same order
         for m in range(1, n + 1):
@@ -423,7 +467,50 @@ def closure(g: DegenerationGraph) -> list[int]:
     return reach
 
 
+def young_keyed_graph(n: int, m: int) -> tuple[list[LocalSetting], list[tuple[int, int]]]:
+    """Oracle for degeneration_graph: the settings sorted by
+    YoungLabel.sort_key, and an edge to each target of elementary_moves,
+    found by its Young label."""
+    nodes = sorted(enumerate_settings(n, m), key=lambda s: s.young().sort_key())
+    index = {s.young(): i for i, s in enumerate(nodes)}
+    edges = {(i, index[t.young()]) for i, s in enumerate(nodes) for t in elementary_moves(s)}
+    return nodes, sorted(edges)
+
+
 class TestDegenerationGraph:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_young_keyed_graph(self, n):
+        for m in range(1, n + 1):
+            g = degeneration_graph(n, m)
+            nodes, edges = young_keyed_graph(n, m)
+            assert (list(g.nodes), list(g.edges)) == (nodes, edges), m
+            assert [s.id() for s in g.nodes] == [s.id() for s in nodes], m
+
+    def test_counts_past_nine(self):
+        # the full-level settings are the per-diagram multiset counts
+        for n, count in ((10, 500), (12, 1479), (16, 11297)):
+            diagrams = [tuple((size, len(list(run))) for size, run in itertools.groupby(sizes))
+                        for sizes in partitions_of_int(n)]
+            assert sum(map(count_settings_for_young, diagrams)) == count
+            assert len(enumerate_settings(n, n)) == count
+
+    def test_reachability_is_degeneration_at_ten(self):
+        g = degeneration_graph(10, 10)
+        reach = closure(g)
+        for i, s in enumerate(g.nodes):
+            for j, t in enumerate(g.nodes):
+                assert bool(reach[i] >> j & 1) == degenerates_class(s, t), (s.id(), t.id())
+
+    @pytest.mark.parametrize("n", (11, 12))
+    def test_reachability_is_degeneration_on_a_sample(self, n):
+        g = degeneration_graph(n, n)
+        reach = closure(g)
+        rng = random.Random(n)
+        k = len(g.nodes)
+        for _ in range(4000):
+            i, j = rng.randrange(k), rng.randrange(k)
+            assert bool(reach[i] >> j & 1) == degenerates_class(g.nodes[i], g.nodes[j]), (i, j)
+
     def test_fig_33(self):
         g = degeneration_graph(3, 3)
         assert len(g.nodes) == 6 and len(g.edges) == 6
@@ -512,8 +599,8 @@ class TestYoungSlice:
         assert len(young_diagram_slice(9, 9, (3, 3, 3)).nodes) == count_settings_for_young(((3, 3),))
 
     def test_bad_diagram(self):
-        # a wrong sum, nonpositive rows, m > n and n past MAX_ENUM_GROUND
-        for n, m, sizes in ((9, 9, (3, 3)), (3, 3, (3, 0)), (3, 3, (4, -1)), (3, 4, (3,)), (10, 10, (10,))):
+        # a wrong sum, nonpositive rows, m > n and n past MAX_GROUND
+        for n, m, sizes in ((9, 9, (3, 3)), (3, 3, (3, 0)), (3, 3, (4, -1)), (3, 4, (3,)), (17, 17, (17,))):
             with pytest.raises(ValueError):
                 young_diagram_slice(n, m, sizes)
 
@@ -524,6 +611,21 @@ class TestYoungSlice:
             settings = enumerate_settings(n, m)
             for shape in partitions_of_int(n):
                 assert young_diagram_slice(n, m, shape).nodes == tuple(s for s in settings if s.sizes == shape)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edges_are_k_lowerings(self, n):
+        # oracle: lower each k_i >= 2 of each labelled node by one, found by Young label
+        for m in range(1, n + 1):
+            for shape in partitions_of_int(n):
+                g = young_diagram_slice(n, m, shape)
+                index = {s.young(): i for i, s in enumerate(g.nodes)}
+                expected = {
+                    (i, index[LocalSetting(n, m, s.blocks, s.k[:j] + (s.k[j] - 1,) + s.k[j + 1 :]).young()])
+                    for i, s in enumerate(g.nodes)
+                    for j in range(s.l)
+                    if s.k[j] >= 2
+                }
+                assert sorted(expected) == list(g.edges), (m, shape)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_edges_are_in_diagram_elementary_moves(self, n):

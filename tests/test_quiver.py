@@ -65,6 +65,17 @@ class TestQuiverBasics:
         assert Quiver(view).arrows is not view
         assert Quiver(np.eye(2, dtype=np.int32)).arrows.dtype == np.int64
 
+    def test_arrow_count_is_exact(self):
+        # four entries of 2^62 sum to 2^64, past int64
+        assert Quiver([[2**62] * 2] * 2).arrow_count() == 2**64
+        assert build_Qn(3).arrow_count() == int(build_Qn(3).arrows.sum())
+
+    def test_count_past_int64_refused_with_value_error(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            Quiver([[0, 2**64], [2**64, 0]])
+        with pytest.raises(ValueError, match="64-bit"):
+            Quiver([[-(2**64)]])
+
     def test_json_roundtrip(self):
         q = build_Qn(3)
         assert Quiver.from_json_obj(q.to_json_obj()) == q
