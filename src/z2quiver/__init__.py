@@ -5,10 +5,7 @@ settings with their degeneration graphs, and DOT/JSON/CSV export."""
 
 from .combinat import (
     DimVector,
-    SetPartition,
-    YoungLabel,
     bn_canonicalize,
-    enumerate_set_partitions,
     multiset_coeff,
     parse_dim_vector,
     parse_subset,
@@ -16,12 +13,10 @@ from .combinat import (
 )
 from .freeprod import (
     CharacterMultiset,
-    Rep2Component,
     build_one_quiver,
     build_Qn,
     chain_of,
     component_count,
-    components,
     is_iss_smooth,
     is_simple_alpha,
     is_simple_alpha_oracle,
@@ -31,7 +26,6 @@ from .freeprod import (
     orbit_count,
     orbit_representatives,
     parse_characters,
-    rep2_census,
     simple_alpha_report,
     treelike_census,
 )
@@ -39,7 +33,6 @@ from .localquiver import (
     DegenerationGraph,
     LocalSetting,
     count_settings_for_young,
-    degenerates,
     degenerates_class,
     degeneration_graph,
     elementary_moves,

@@ -234,10 +234,10 @@ def cmd_smooth_component(args) -> int:
 
 
 def cmd_rep2(args) -> int:
-    """The rows of rep2_census, A ascending and B over the subsets of the
-    complement ascending.  A row is the names of A and B and a tail that
-    depends on k = |A| alone, so each A's rows are written in one piece:
-    the B names joined by the tail and A's name."""
+    """One row per level-2 component (A, B): A ascending and B over the
+    subsets of the complement ascending.  A row is the names of A and B and
+    a tail that depends on k = |A| alone, so each A's rows are written in
+    one piece: the B names joined by the tail and A's name."""
     n = args.n
     names = _subset_names(n)
     csv_out = args.format == "csv"

@@ -1,4 +1,4 @@
-"""Subsets, set partitions, Young labels, and dimension vectors.
+"""Subsets, integer partitions, and dimension vectors.
 
 Ground sets are N = {1, ..., n}; a subset A of N is stored as a plain int
 bitmask with element i sitting on bit i-1.  All values here are immutable
@@ -36,19 +36,17 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def min_element(a: int) -> int:
-    """Smallest element of a nonempty subset (1-based)."""
-    if a <= 0:
-        raise ValueError("empty subset has no minimum")
-    return (a & -a).bit_length()
-
-
 def subset_str(a: int) -> str:
     return "{" + ",".join(str(i + 1) for i in range(a.bit_length()) if a >> i & 1) + "}"
 
 
 def parse_subset(text: str, n: int | None = None) -> int:
-    """Parse '{1,3}' (or '{}') into a bitmask; validates against n if given."""
+    """Parse '{1,3}' (or '{}') into a bitmask over {1..n}, or over
+    {1..MAX_GROUND} when n is None.  An element out of range is refused
+    before it is shifted, so a huge one costs nothing."""
+    if n is not None:
+        check_ground(n)
+    top = MAX_GROUND if n is None else n
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
         raise ValueError(f"subset must look like '{{1,3}}', got {text!r}")
@@ -59,11 +57,9 @@ def parse_subset(text: str, n: int | None = None) -> int:
             if not piece.strip().isdigit():
                 raise ValueError(f"bad subset element {piece!r} in {text!r}")
             i = int(piece)
-            if i < 1 or (n is not None and i > n):
+            if not 1 <= i <= top:
                 raise ValueError(f"element {i} out of range in {text!r}")
             mask |= 1 << (i - 1)
-    if n is not None:
-        check_subset(mask, n)
     return mask
 
 
@@ -91,76 +87,6 @@ def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
             acc.pop()
 
     yield from rec(n, n, [])
-
-
-def _block_sort_key(block: int) -> tuple[int, int]:
-    # canonical order: size descending, then smallest element ascending
-    return (-block.bit_count(), min_element(block))
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..n} into disjoint nonempty blocks, kept in canonical
-    order (size descending, then smallest element ascending)."""
-
-    n: int
-    blocks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        union = 0
-        for b in self.blocks:
-            check_subset(b, self.n)
-            if b == 0:
-                raise ValueError("blocks must be nonempty")
-            if b & union:
-                raise ValueError("blocks must be pairwise disjoint")
-            union |= b
-        if union != full_mask(self.n):
-            raise ValueError("blocks must cover the ground set")
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=_block_sort_key)))
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
-    def young_rows(self) -> tuple[tuple[int, int], ...]:
-        """Block sizes grouped as (size, multiplicity), sizes strictly decreasing."""
-        rows: list[tuple[int, int]] = []
-        for s in self.sizes:
-            if rows and rows[-1][0] == s:
-                rows[-1] = (s, rows[-1][1] + 1)
-            else:
-                rows.append((s, 1))
-        return tuple(rows)
-
-    def __str__(self) -> str:
-        return "|".join(subset_str(b) for b in self.blocks)
-
-
-def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """All set partitions of {1..n}, each exactly once, in canonical form.
-
-    Single-consumer stream; Bell(n) items, intended for n <= 12.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"need a positive ground-set size, got {n!r}")
-    check_ground(n)
-
-    def grow(i: int, blocks: list[int]) -> Iterator[SetPartition]:
-        if i == n:
-            yield SetPartition(n, tuple(blocks))
-            return
-        bit = 1 << i
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            yield from grow(i + 1, blocks)
-            blocks[j] &= ~bit
-        blocks.append(bit)
-        yield from grow(i + 1, blocks)
-        blocks.pop()
-
-    yield from grow(0, [])
 
 
 @dataclass(frozen=True, order=True)
@@ -191,10 +117,6 @@ class DimVector:
 
     def canonical(self) -> "DimVector":
         return bn_canonicalize(self)
-
-    def flat(self) -> tuple[int, ...]:
-        """(a_1+, a_1-, a_2+, a_2-, ...) matching the 2n-vertex quiver order."""
-        return tuple(x for p in self.pairs for x in p)
 
     @classmethod
     def standard(cls, n: int, m: int) -> "DimVector":
@@ -253,59 +175,3 @@ def bn_canonicalize(v: DimVector) -> DimVector:
     """
     pairs = sorted(((max(p), min(p)) for p in v.pairs), reverse=True)
     return DimVector(tuple(pairs))
-
-
-@dataclass(frozen=True, order=True)
-class YoungLabel:
-    """Permutation-class label of a local setting: Young rows (length,
-    multiplicity) with lengths strictly decreasing, plus one weakly
-    decreasing k-multiset per row class, entries in [1, length]."""
-
-    rows: tuple[tuple[int, int], ...]
-    k_rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.k_rows) or not self.rows:
-            raise ValueError("rows and k_rows must align and be nonempty")
-        prev = None
-        for (lam, mu), ks in zip(self.rows, self.k_rows):
-            if lam < 1 or mu < 1:
-                raise ValueError("row lengths and multiplicities must be positive")
-            if prev is not None and lam >= prev:
-                raise ValueError("row lengths must strictly decrease")
-            prev = lam
-            if len(ks) != mu:
-                raise ValueError(f"row ({lam},{mu}) needs {mu} k-values, got {ks}")
-            if any(not 1 <= k <= lam for k in ks):
-                raise ValueError(f"k-values for row length {lam} must lie in [1, {lam}]")
-            if any(ks[i] < ks[i + 1] for i in range(len(ks) - 1)):
-                raise ValueError("k-values must be weakly decreasing within a row class")
-
-    @property
-    def n(self) -> int:
-        return sum(lam * mu for lam, mu in self.rows)
-
-    @property
-    def k_total(self) -> int:
-        return sum(sum(ks) for ks in self.k_rows)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(lam for lam, mu in self.rows for _ in range(mu))
-
-    def ks(self) -> tuple[int, ...]:
-        return tuple(k for ks in self.k_rows for k in ks)
-
-    def label(self) -> str:
-        sizes = ",".join(str(s) for s in self.sizes())
-        ks = ",".join(str(k) for k in self.ks())
-        return f"({sizes}),({ks})"
-
-    def sort_key(self) -> tuple:
-        # top-to-bottom: total k descending, then fewer blocks, coarser
-        # diagrams and larger k first
-        return (
-            -self.k_total,
-            len(self.sizes()),
-            tuple(-s for s in self.sizes()),
-            tuple(-k for k in self.ks()),
-        )

@@ -14,13 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .combinat import (
     DimVector,
     check_ground,
     check_subset,
-    full_mask,
     parse_subset,
     subset_str,
 )
@@ -64,14 +62,6 @@ def component_count(n: int, m: int) -> int:
     if count >= 10**MAX_COUNT_DIGITS:
         raise ValueError(too_many)
     return count
-
-
-def components(n: int, m: int) -> Iterator[DimVector]:
-    """All dimension vectors with pair sum m, one per component."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    for plus in itertools.product(range(m + 1), repeat=n):
-        yield DimVector(tuple((p, m - p) for p in plus))
 
 
 def orbit_count(n: int, m: int) -> int:
@@ -342,20 +332,6 @@ def is_iss_smooth(alpha: DimVector) -> bool:
     return mixed <= 2
 
 
-@dataclass(frozen=True)
-class Rep2Component:
-    """One component of the level-2 representation variety, indexed by the
-    subset A of mixed factors and the subset B of minus-one factors."""
-
-    a_mask: int
-    b_mask: int
-    k: int
-    rep_dim: int
-    quot_dim: int
-    singularities: int
-    local_type: str | None
-
-
 def rep2_values(k: int) -> tuple[int, int, int, str | None]:
     """(rep_dim, quot_dim, singularities, local_type) of every level-2
     component with k = |A| mixed factors: they depend on k alone."""
@@ -365,23 +341,6 @@ def rep2_values(k: int) -> tuple[int, int, int, str | None]:
         2 ** (k - 1) if k >= 3 else 0,
         f"1 <={k - 1}=> 1" if k >= 3 else None,
     )
-
-
-def rep2_census(n: int) -> Iterator[Rep2Component]:
-    """All 3**n level-2 components, streamed: A over subsets of {1..n}, B
-    over subsets of the complement; 2^{n-k} C(n,k) rows for each k = |A|."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    for a in range(1 << n):
-        k = a.bit_count()
-        values = rep2_values(k)
-        comp = full_mask(n) ^ a
-        b = 0
-        while True:
-            yield Rep2Component(a, b, k, *values)
-            if b == comp:
-                break
-            b = (b - comp) & comp
 
 
 def treelike_census(n: int) -> dict[str, int]:

@@ -4,22 +4,20 @@ A setting is a pair (partition of {1..n}, k-tuple) with 1 <= k_i <= |A_i|
 and sum k_i <= m; it records the decomposition type of a semisimple point,
 one simple summand of dimension k_i supported on the block A_i plus the
 trivial character with multiplicity m - sum k_i.  Settings are identified
-up to permutations of the ground set by their Young label, which is how
-degeneration graphs are drawn.  The enumeration, the graphs and the moves
-work on that label as the descending tuple of (size, k) block pairs, and
-build a LocalSetting only for what they return.
+up to permutations of the ground set by their label, the descending tuple
+of (size, k) block pairs, which is how degeneration graphs are drawn.  The
+enumeration, the graphs and the moves work on labels, and build a
+LocalSetting only for what they return.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .combinat import (
-    YoungLabel,
     check_ground,
     full_mask,
     multiset_coeff,
@@ -44,7 +42,6 @@ class LocalSetting:
     blocks: tuple[int, ...]
     k: tuple[int, ...]
     sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _young: YoungLabel | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n, m, blocks, ks = self.n, self.m, self.blocks, self.k
@@ -85,17 +82,12 @@ class LocalSetting:
     def k_total(self) -> int:
         return sum(self.k)
 
-    def young(self) -> YoungLabel:
-        """The Young label of the setting, built on the first call."""
-        if self._young is None:
-            rows = tuple(Counter(self.sizes).items())  # (size, blocks of that size), sizes descending
-            ks = iter(self.k)
-            k_rows = tuple(tuple(itertools.islice(ks, count)) for _, count in rows)
-            object.__setattr__(self, "_young", YoungLabel(rows, k_rows))
-        return self._young
+    def young(self) -> Label:
+        """The label of the setting's permutation class."""
+        return tuple(zip(self.sizes, self.k))
 
     def id(self) -> str:
-        return self.young().label()
+        return f"({','.join(map(str, self.sizes))}),({','.join(map(str, self.k))})"
 
     def __str__(self) -> str:
         blocks = "|".join(subset_str(b) for b in self.blocks)
@@ -110,15 +102,12 @@ def _check_level(n: int, m: int) -> None:
     check_ground(n)
 
 
-def _node_key(sizes: tuple[int, ...], ks: tuple[int, ...]) -> tuple:
-    """Sorted by this key in reverse, settings take the order of
-    YoungLabel.sort_key: total k descending, then fewer blocks, coarser
-    diagrams and larger k first.  Distinct labels have distinct keys."""
-    return sum(ks), -len(ks), sizes, ks
-
-
 def _label_key(label: Label) -> tuple:
-    return _node_key(*zip(*label))
+    """The node order, sorted by this key in reverse: total k descending,
+    then fewer blocks, coarser diagrams and larger k first.  Distinct labels
+    have distinct keys."""
+    sizes, ks = zip(*label)
+    return sum(ks), -len(ks), sizes, ks
 
 
 def _setting(n: int, m: int, label: Label) -> LocalSetting:
@@ -227,28 +216,13 @@ def local_euler_matrix(s: LocalSetting):
     return out
 
 
-def degenerates(s: LocalSetting, t: LocalSetting) -> bool:
-    """Whether t lies in the closure of the s-stratum: t's partition refines
-    s's and each block of s has k at least the sum of the k of its parts.
-    Reflexive; compares labelled settings, not permutation classes."""
-    if (s.n, s.m) != (t.n, t.m):
-        raise ValueError("settings must share the same n and m")
-    for tb in t.blocks:
-        if not any(tb & sb == tb for sb in s.blocks):
-            return False
-    for sb, sk in zip(s.blocks, s.k):
-        if sk < sum(tk for tb, tk in zip(t.blocks, t.k) if tb & sb == tb):
-            return False
-    return True
-
-
 def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
     """Class-level degeneration: some representative of t's class is a
     degeneration of s (equivalently of any representative of s's class).
 
-    Decided on the two Young labels as a packing problem: can t's
-    (size, k) blocks be assigned to s's blocks so that the sizes placed in
-    each s-block sum to its size and their k values sum to at most its k?
+    Decided on the two labels as a packing problem: can t's (size, k)
+    blocks be assigned to s's blocks so that the sizes placed in each
+    s-block sum to its size and their k values sum to at most its k?
     Such an assignment is exactly a labelled refinement in t's class
     (split each s-block's elements into the t-blocks placed there), and
     both partitions cover the ground set, so once every t-block is placed
@@ -313,9 +287,8 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     class, sorted, labelled relative to s: the moves of _moves applied to
     the first block carrying each (size, k), a split's part A being the
     block's lowest s_a elements."""
-    label = tuple(zip(s.sizes, s.k))
     moves = []
-    for i, parts in _moves(label):
+    for i, parts in _moves(s.young()):
         blocks = s.blocks
         if len(parts) == 2:
             part_b = blocks[i]
@@ -324,7 +297,7 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
             blocks = blocks[:i] + (blocks[i] ^ part_b, part_b) + blocks[i + 1 :]
         ks = s.k[:i] + tuple(k for _, k in parts) + s.k[i + 1 :]
         moves.append(LocalSetting(s.n, s.m, blocks, ks))
-    return sorted(moves, key=lambda t: _node_key(t.sizes, t.k), reverse=True)
+    return sorted(moves, key=lambda t: _label_key(t.young()), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -385,11 +358,10 @@ def setting_json_obj(s: LocalSetting) -> dict:
     """Node object for graph export; the quiver is support-reduced so a
     dimension-0 trivial-character vertex is hidden."""
     rows, dims = local_quiver_rows(s, reduced=True)
-    young = s.young()
     return {
         "id": s.id(),
-        "young": [[lam, mu] for lam, mu in young.rows],
-        "k": list(young.ks()),
+        "young": [[size, len(list(run))] for size, run in itertools.groupby(s.sizes)],
+        "k": list(s.k),
         "quiver": {"v": len(rows), "arrows": rows},
         "dims": list(dims),
         "smooth": smooth_point(s),
@@ -397,10 +369,10 @@ def setting_json_obj(s: LocalSetting) -> dict:
 
 
 def graph_json_obj(g: DegenerationGraph) -> dict:
-    ids = [s.id() for s in g.nodes]
+    nodes = [setting_json_obj(s) for s in g.nodes]
     return {
         "n": g.n,
         "m": g.m,
-        "nodes": [setting_json_obj(s) for s in g.nodes],
-        "edges": [[ids[i], ids[j]] for i, j in g.edges],
+        "nodes": nodes,
+        "edges": [[nodes[i]["id"], nodes[j]["id"]] for i, j in g.edges],
     }

@@ -11,13 +11,13 @@ import time
 from collections import Counter
 
 import numpy as np
+from oracles import components, rep2_census
 
 from z2quiver.combinat import DimVector, bn_canonicalize
 from z2quiver.freeprod import (
     CharacterMultiset,
     build_one_quiver,
     component_count,
-    components,
     is_iss_smooth,
     is_simple_alpha,
     is_simple_alpha_oracle,
@@ -25,7 +25,6 @@ from z2quiver.freeprod import (
     one_quiver_euler_closed,
     one_quiver_euler_recursive,
     orbit_count,
-    rep2_census,
     treelike_census,
 )
 from z2quiver.localquiver import (

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import rep2_census
 
 from z2quiver.cli import build_parser, format_matrix, main
 from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
@@ -20,7 +21,6 @@ from z2quiver.freeprod import (
     build_one_quiver,
     is_simple_alpha,
     one_quiver_euler_closed,
-    rep2_census,
 )
 from z2quiver.localquiver import enumerate_settings, local_euler_matrix, local_quiver
 from z2quiver.quiver import support
@@ -541,6 +541,8 @@ CONTRACT_CASES = [
     (["local", "--n", "16", "--m", "16"], 0),
     (["simple", "--alpha", "(1,0)*1000000000"], 1),
     (["canon", "--chars", "{1}^1000000000000000000+{2,3}^1000000000000000000"], 0),
+    (["canon", "--chars", "{100000000000}"], 1),
+    (["canon", "--chars", "{100000000000}", "--n", "1000000000000"], 1),
     (["components", "--n", "1000000000", "--m", "2"], 1),
     (["rep2", "--n", "17", "--format", "csv"], 1),
 ]

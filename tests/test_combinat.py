@@ -5,14 +5,12 @@ import tracemalloc
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import SetPartition, enumerate_set_partitions
 
 from z2quiver.combinat import (
     MAX_PAIRS,
     DimVector,
-    SetPartition,
-    YoungLabel,
     bn_canonicalize,
-    enumerate_set_partitions,
     full_mask,
     multiset_coeff,
     parse_dim_vector,
@@ -31,6 +29,19 @@ def mask(*elements: int) -> int:
 def test_subset_str_roundtrip():
     for a in range(16):
         assert parse_subset(subset_str(a), 4) == a
+
+
+@pytest.mark.parametrize("text", ["{17}", "{100000000000}"])
+def test_parse_subset_refuses_elements_past_the_ground_cap(text):
+    with pytest.raises(ValueError, match="out of range"):
+        parse_subset(text)
+
+
+def test_parse_subset_checks_n_first():
+    with pytest.raises(ValueError, match="ground-set size"):
+        parse_subset("{1}", 10**12)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_subset("{5}", 4)
 
 
 def brute_multiset(k: int, n: int) -> int:
@@ -108,10 +119,6 @@ class TestSetPartitions:
         with pytest.raises(ValueError):
             SetPartition(3, (mask(1, 2, 3), 0))  # empty block
 
-    def test_young_rows(self):
-        p = SetPartition(5, (mask(1, 2), mask(3, 4), mask(5)))
-        assert p.young_rows() == ((2, 2), (1, 1))
-
 
 class TestBnCanonicalize:
     def test_flip_then_sort(self):
@@ -181,10 +188,9 @@ class TestDimVector:
         with pytest.raises(ValueError):
             DimVector(((1, -1),))
 
-    def test_level_and_flat(self):
+    def test_level(self):
         v = DimVector.standard(3, 4)
         assert (v.n, v.m) == (3, 4)
-        assert v.flat() == (3, 1, 3, 1, 3, 1)
 
     def test_character(self):
         v = DimVector.character(3, mask(1, 3))
@@ -198,23 +204,6 @@ class TestDimVector:
             pairs = ((m, 0),)
         v = DimVector(pairs)
         assert parse_dim_vector(str(v)) == v
-
-
-class TestYoungLabel:
-    def test_valid(self):
-        y = YoungLabel(((3, 2), (1, 1)), ((3, 1), (1,)))
-        assert y.n == 7
-        assert y.sizes() == (3, 3, 1)
-        assert y.ks() == (3, 1, 1)
-        assert y.label() == "(3,3,1),(3,1,1)"
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            YoungLabel(((2, 1), (2, 1)), ((1,), (1,)))  # lengths not decreasing
-        with pytest.raises(ValueError):
-            YoungLabel(((2, 2),), ((1, 2),))  # k not weakly decreasing
-        with pytest.raises(ValueError):
-            YoungLabel(((2, 1),), ((3,),))  # k out of range
 
 
 def test_partitions_of_int():

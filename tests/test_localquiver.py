@@ -4,13 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from oracles import degenerates, enumerate_set_partitions, min_element, young_sort_key
 
 from z2quiver.combinat import (
     DimVector,
-    YoungLabel,
-    enumerate_set_partitions,
     full_mask,
-    min_element,
     multiset_coeff,
     partitions_of_int,
 )
@@ -19,7 +17,6 @@ from z2quiver.localquiver import (
     DegenerationGraph,
     LocalSetting,
     count_settings_for_young,
-    degenerates,
     degenerates_class,
     degeneration_graph,
     elementary_moves,
@@ -91,7 +88,7 @@ class TestLocalSetting:
 
     def test_order_sizes_and_young_match_labelled_construction(self):
         # oracle: the block order (size desc, k desc, smallest element asc),
-        # the sizes and the Young label rebuilt from the labelled blocks
+        # the sizes and the (size, k) label rebuilt from the labelled blocks
         rng = random.Random(7)
         for part in enumerate_set_partitions(6):
             blocks = list(part.blocks)
@@ -101,16 +98,11 @@ class TestLocalSetting:
             order = sorted(zip(blocks, ks), key=lambda bk: (-bk[0].bit_count(), -bk[1], min_element(bk[0])))
             assert (s.blocks, s.k) == (tuple(b for b, _ in order), tuple(k for _, k in order))
             assert s.sizes == tuple(b.bit_count() for b in s.blocks)
-            rows = tuple((size, len(list(run))) for size, run in itertools.groupby(s.sizes))
-            k_rows, ks_left = [], list(s.k)
-            for _, mu in rows:
-                k_rows.append(tuple(ks_left[:mu]))
-                del ks_left[:mu]
-            assert s.young() == YoungLabel(rows, tuple(k_rows))
+            assert s.young() == tuple((b.bit_count(), k) for b, k in order)
 
     def test_young_and_id(self):
         s = LocalSetting(4, 4, blocks_of((1, 2, 3), (4,)), (2, 1))
-        assert s.young() == YoungLabel(((3, 1), (1, 1)), ((2,), (1,)))
+        assert s.young() == ((3, 2), (1, 1))
         assert s.id() == "(3,1),(2,1)"
 
 
@@ -347,8 +339,8 @@ class TestDegeneratesClass:
 def labelled_elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     """Oracle for elementary_moves: every k-lowering and every labelled
     split of every block (its lowest element in the first part), deduplicated
-    by Young label with the first representative kept, sorted."""
-    targets: dict[YoungLabel, LocalSetting] = {}
+    by (size, k) label with the first representative kept, sorted."""
+    targets: dict[tuple[tuple[int, int], ...], LocalSetting] = {}
 
     def add(setting: LocalSetting) -> None:
         targets.setdefault(setting.young(), setting)
@@ -372,7 +364,7 @@ def labelled_elementary_moves(s: LocalSetting) -> list[LocalSetting]:
                     if ka <= part_a.bit_count() and 1 <= kb <= part_b.bit_count():
                         blocks = s.blocks[:i] + (part_a, part_b) + s.blocks[i + 1 :]
                         add(LocalSetting(s.n, s.m, blocks, s.k[:i] + (ka, kb) + s.k[i + 1 :]))
-    return sorted(targets.values(), key=lambda t: t.young().sort_key())
+    return sorted(targets.values(), key=lambda t: young_sort_key(t.young()))
 
 
 class TestElementaryMoves:
@@ -468,10 +460,9 @@ def closure(g: DegenerationGraph) -> list[int]:
 
 
 def young_keyed_graph(n: int, m: int) -> tuple[list[LocalSetting], list[tuple[int, int]]]:
-    """Oracle for degeneration_graph: the settings sorted by
-    YoungLabel.sort_key, and an edge to each target of elementary_moves,
-    found by its Young label."""
-    nodes = sorted(enumerate_settings(n, m), key=lambda s: s.young().sort_key())
+    """Oracle for degeneration_graph: the settings sorted by young_sort_key,
+    and an edge to each target of elementary_moves, found by its label."""
+    nodes = sorted(enumerate_settings(n, m), key=lambda s: young_sort_key(s.young()))
     index = {s.young(): i for i, s in enumerate(nodes)}
     edges = {(i, index[t.young()]) for i, s in enumerate(nodes) for t in elementary_moves(s)}
     return nodes, sorted(edges)
@@ -614,7 +605,7 @@ class TestYoungSlice:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_edges_are_k_lowerings(self, n):
-        # oracle: lower each k_i >= 2 of each labelled node by one, found by Young label
+        # oracle: lower each k_i >= 2 of each labelled node by one, found by label
         for m in range(1, n + 1):
             for shape in partitions_of_int(n):
                 g = young_diagram_slice(n, m, shape)
