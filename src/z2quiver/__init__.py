@@ -22,7 +22,6 @@ from .freeprod import (
     is_simple_alpha_oracle,
     iss_dim,
     one_quiver_euler_closed,
-    one_quiver_euler_recursive,
     orbit_count,
     orbit_representatives,
     parse_characters,

@@ -10,6 +10,7 @@ subsets as quiver vertices; memory there grows like 4**n.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,6 +25,14 @@ MAX_PAIRS = 10_000
 def check_ground(n: int) -> None:
     if not isinstance(n, int) or not 1 <= n <= MAX_GROUND:
         raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {n!r}")
+
+
+def check_ints(values, what: str) -> tuple[int, ...]:
+    """values as ints; a float or a string is refused, not rounded or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def check_subset(a: int, n: int) -> None:

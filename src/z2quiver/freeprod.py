@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .combinat import (
     DimVector,
@@ -107,43 +106,31 @@ def check_one_quiver(n: int) -> None:
         raise ValueError(f"the character quiver is built for n <= {MAX_ONE_QUIVER_GROUND}, got {n}")
 
 
-@lru_cache(maxsize=None)
+def _hamming_grid(n: int):
+    """|A delta B| for every pair of the 2**n characters, a uint8 ndarray
+    with the vertices ordered by bitmask, the empty set first."""
+    check_one_quiver(n)
+    import numpy as np
+
+    masks = np.arange(1 << n, dtype=np.uint16)
+    return np.bitwise_count(np.bitwise_xor.outer(masks, masks))
+
+
 def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
-    no loops.  The arrows are max(-E, 0) for the Euler matrix E, since E
-    has 1 on the diagonal and 1 - |A delta B| off it.  The matrix is
-    made read-only before it is handed over, so Quiver keeps it uncopied."""
-    arrows = one_quiver_euler_closed(n)
-    arrows *= -1
-    arrows.clip(0, None, out=arrows)
-    arrows.flags.writeable = False
-    return Quiver(arrows)
+    no loops."""
+    return Quiver(_hamming_grid(n).clip(1) - 1)
 
 
 def one_quiver_euler_closed(n: int):
-    """Euler matrix of the character quiver, an int64 ndarray, via the
-    closed form 1 - |A delta B|."""
-    check_one_quiver(n)
+    """Euler matrix of the character quiver, a read-only int64 ndarray, via
+    the closed form 1 - |A delta B|."""
     import numpy as np
 
-    masks = np.arange(1 << n, dtype=np.uint32)
-    euler = np.bitwise_count(np.bitwise_xor.outer(masks, masks)).astype(np.int64)
-    np.subtract(1, euler, out=euler)
+    euler = np.subtract(1, _hamming_grid(n), dtype=np.int64)
+    euler.flags.writeable = False
     return euler
-
-
-def one_quiver_euler_recursive(n: int):
-    """Same matrix built by doubling: M_0 = [1] and
-    M_j = [[M_{j-1}, M_{j-1}-P], [M_{j-1}-P, M_{j-1}]] with P all ones."""
-    check_one_quiver(n)
-    import numpy as np
-
-    m = np.array([[1]], dtype=np.int64)
-    for _ in range(n):
-        shifted = m - np.ones_like(m)
-        m = np.block([[m, shifted], [shifted, m]])
-    return m
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterator
 
 from .combinat import (
     check_ground,
+    check_ints,
     full_mask,
     multiset_coeff,
     partitions_of_int,
@@ -44,10 +45,11 @@ class LocalSetting:
     sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, m, blocks, ks = self.n, self.m, self.blocks, self.k
+        n, blocks = self.n, self.blocks
+        check_ground(n)
+        m, *ks = check_ints((self.m, *self.k), "m and the k values")
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        check_ground(n)
         union = 0
         for b in blocks:  # a disjoint cover of {1..n} by nonempty subset masks
             if not isinstance(b, int) or b < 0 or b >> n:
@@ -95,11 +97,12 @@ class LocalSetting:
 
 
 def _check_level(n: int, m: int) -> None:
+    check_ground(n)
+    check_ints((n, m), "n and m")
     if not 1 <= m <= n:
         raise ValueError(
             f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={m}"
         )
-    check_ground(n)
 
 
 def _label_key(label: Label) -> tuple:
@@ -339,7 +342,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
     diagram's settings are built; they keep their order in
     enumerate_settings."""
     _check_level(n, m)
-    shape = tuple(sorted(sizes, reverse=True))
+    shape = tuple(sorted(check_ints(sizes, "diagram sizes"), reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
         raise ValueError(f"{sizes} is not a diagram of {n}")
     return _graph(n, m, sorted(_diagram_labels(m, shape), key=_label_key, reverse=True), False)

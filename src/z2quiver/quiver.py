@@ -13,6 +13,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .combinat import check_ints
+
 
 class UnsupportedInputError(ValueError):
     """Input is outside the range a classification result covers."""
@@ -20,24 +22,25 @@ class UnsupportedInputError(ValueError):
 
 class Quiver:
     def __init__(self, arrows) -> None:
-        """Freeze arrows as an int64 matrix.  A read-only int64 ndarray that
-        owns its data is kept as it is, not copied; anything else is copied."""
+        """Freeze a copy of arrows as an int64 matrix.  Bools and numpy
+        integers pass; a float or a string is refused, not rounded or parsed."""
         import numpy as np
 
-        if (isinstance(arrows, np.ndarray) and arrows.dtype == np.int64
-                and arrows.flags.owndata and not arrows.flags.writeable):
-            a = arrows
-        else:
-            try:
-                a = np.array(arrows, dtype=np.int64)
-            except OverflowError:
-                raise ValueError("arrow counts must fit in a signed 64-bit integer") from None
+        a = np.asarray(arrows)
         if a.size == 0:
             a = a.reshape(0, 0)
+        elif a.dtype.kind not in "biu" or a.dtype == np.uint64 and a.max() >> 63:
+            # numpy keeps Python ints past the int64 range as uint64, objects or floats
+            try:
+                [operator.index(x) for x in np.array(arrows, dtype=object).flat]
+            except TypeError:
+                raise ValueError(f"arrow counts must be integers, got dtype {a.dtype}") from None
+            raise ValueError("arrow counts must fit in a signed 64-bit integer")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"arrow matrix must be square, got shape {a.shape}")
-        if a.size and a.min() < 0:
+        if a.dtype.kind == "i" and a.size and a.min() < 0:
             raise ValueError("arrow counts must be nonnegative")
+        a = a.astype(np.int64)
         a.flags.writeable = False
         self.arrows = a
 
@@ -101,10 +104,7 @@ class QuiverSetting:
 
 
 def _check_dims(q: Quiver, dims) -> tuple[int, ...]:
-    try:  # numpy integers pass; a float or a string is refused, not rounded or parsed
-        d = tuple(map(operator.index, dims))
-    except TypeError:
-        raise ValueError(f"vertex dimensions must be integers, got {dims!r}") from None
+    d = check_ints(dims, "vertex dimensions")
     if len(d) != q.v:
         raise ValueError(f"expected {q.v} vertex dimensions, got {len(d)}")
     if any(x < 0 for x in d):

@@ -3,8 +3,9 @@
 Each is the slow, labelled or enumerative route that a closed form or a
 label-level search in the library replaced, kept as an independent oracle:
 set partitions of the ground set, labelled degeneration of settings, the
-(m+1)^n component enumeration, the level-2 census as records, and the
-node order as the old Young-label key wrote it.
+(m+1)^n component enumeration, the level-2 census as records, the node
+order as the old Young-label key wrote it, and the character quiver's
+Euler matrix by block doubling.
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ def young_sort_key(label: tuple[tuple[int, int], ...]) -> tuple:
     descending, then fewer blocks, coarser diagrams and larger k first."""
     sizes, ks = zip(*label)
     return (-sum(ks), len(sizes), tuple(-s for s in sizes), tuple(-k for k in ks))
+
+
+def one_quiver_euler_recursive(n: int) -> list[list[int]]:
+    """The character quiver's Euler matrix as int rows, built by doubling:
+    M_0 = [[1]] and M_j = [[M_{j-1}, M_{j-1}-P], [M_{j-1}-P, M_{j-1}]] with
+    P all ones."""
+    m = [[1]]
+    for _ in range(n):
+        shifted = [[x - 1 for x in row] for row in m]
+        m = [row + low for row, low in zip(m, shifted)] + [low + row for row, low in zip(m, shifted)]
+    return m
 
 
 def degenerates(s: LocalSetting, t: LocalSetting) -> bool:

@@ -10,8 +10,7 @@ import random
 import time
 from collections import Counter
 
-import numpy as np
-from oracles import components, rep2_census
+from oracles import components, one_quiver_euler_recursive, rep2_census
 
 from z2quiver.combinat import DimVector, bn_canonicalize
 from z2quiver.freeprod import (
@@ -23,7 +22,6 @@ from z2quiver.freeprod import (
     is_simple_alpha_oracle,
     iss_dim,
     one_quiver_euler_closed,
-    one_quiver_euler_recursive,
     orbit_count,
     treelike_census,
 )
@@ -108,7 +106,7 @@ def test_criterion_2_one_quiver_fidelity():
         assert build_one_quiver(3).euler_matrix().tolist() == M3
         assert one_quiver_euler_closed(3).tolist() == M3
         for n in range(1, 9):
-            assert np.array_equal(one_quiver_euler_recursive(n), one_quiver_euler_closed(n)), n
+            assert one_quiver_euler_recursive(n) == one_quiver_euler_closed(n).tolist(), n
 
     report(2, "one-quiver fidelity", body)
 

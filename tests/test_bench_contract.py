@@ -57,8 +57,7 @@ def run_stream(tracer, ops, run, check) -> None:
 
 
 def test_queries_stream(tracer):
-    # queries_warm_up only fills build_one_quiver's cache up to n = 12, about
-    # 170 MB that no query reads, so it is left out here
+    workloads.queries_warm_up()
     ops = workloads.queries_ops(random.Random(0))
     run_stream(tracer, ops, workloads.queries_run, workloads.queries_check)
 

@@ -78,13 +78,27 @@ class TestLocalSetting:
             (3, 3, blocks_of((1,), (2, 3)), (1,), "one k value per block"),
             (3, 4, whole(3), (3,), "need 1 <= m <= n"),
             (17, 17, whole(17), (17,), "ground-set size"),
+            (3, 3, (7,), ("2",), "m and the k values must be integers"),
+            (3, 3, (7,), (1.5,), "m and the k values must be integers"),
+            ("3", 3, (7,), (1,), "ground-set size"),
+            (3, 2.5, (7,), (1,), "m and the k values must be integers"),
         ],
         ids=["overlap", "gap", "empty-block", "mask-past-n", "float-block", "str-block", "negative-block",
-             "k-above-size", "k-zero", "sum-k-above-m", "k-count", "m-above-n", "n-past-16"],
+             "k-above-size", "k-zero", "sum-k-above-m", "k-count", "m-above-n", "n-past-16",
+             "str-k", "float-k", "str-n", "float-m"],
     )
     def test_refuses_malformed(self, n, m, blocks, k, message):
         with pytest.raises(ValueError, match=message):
             LocalSetting(n, m, blocks, k)
+
+    def test_entry_points_refuse_non_integers(self):
+        # these raised TypeError from 1 <= m <= n, or took m = 2.5 as a level
+        with pytest.raises(ValueError, match="ground-set size"):
+            degeneration_graph("3", 3)
+        with pytest.raises(ValueError, match="must be integers"):
+            enumerate_settings(3, 2.5)
+        with pytest.raises(ValueError, match="must be integers"):
+            young_diagram_slice(3, 3, (1.5, 1.5))
 
     def test_order_sizes_and_young_match_labelled_construction(self):
         # oracle: the block order (size desc, k desc, smallest element asc),

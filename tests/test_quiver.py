@@ -52,10 +52,17 @@ class TestQuiverBasics:
         with pytest.raises(ValueError):
             q.arrows[0, 1] = 5
 
-    def test_read_only_matrix_kept_uncopied(self):
+    def test_read_only_matrix_copied(self):
+        # the caller can make its read-only array writeable again and write
+        # to it; the quiver and its hash must not follow
         frozen = np.eye(3, dtype=np.int64)
         frozen.flags.writeable = False
-        assert Quiver(frozen).arrows is frozen
+        q = Quiver(frozen)
+        before = hash(q)
+        frozen.flags.writeable = True
+        frozen[0, 1] = 3
+        assert q.arrows is not frozen and q.arrows[0, 1] == 0
+        assert hash(q) == before
         # a writeable array, a view and another dtype are copied
         live = np.eye(3, dtype=np.int64)
         q = Quiver(live)
@@ -75,6 +82,17 @@ class TestQuiverBasics:
             Quiver([[0, 2**64], [2**64, 0]])
         with pytest.raises(ValueError, match="64-bit"):
             Quiver([[-(2**64)]])
+
+    def test_non_integer_arrows_refused(self):
+        # np.array(..., dtype=np.int64) read 1.5 as 1, 2.9 as 2 and "2" as 2
+        for arrows in ([[1.5]], [[0, 2.9], [2.9, 0]], [["2"]]):
+            with pytest.raises(ValueError, match="must be integers"):
+                Quiver(arrows)
+        # numpy integers, bools and the empty matrix pass
+        assert Quiver(np.array([[0, 2], [2, 0]], dtype=np.int32)) == pair_quiver(2)
+        assert Quiver(np.array([[0, 2], [2, 0]], dtype=np.uint8)) == pair_quiver(2)
+        assert Quiver([]).v == 0
+        assert Quiver([[True]]).arrows.tolist() == [[1]]
 
     def test_json_roundtrip(self):
         q = build_Qn(3)
