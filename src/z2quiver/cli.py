@@ -4,39 +4,19 @@ Every subcommand delegates to one library operation and writes deterministic
 plain-text, JSON, DOT, or CSV to stdout (fixed sort orders everywhere, no
 terminal colour, so NO_COLOR needs no special handling).  Exit codes:
 0 = yes/success, 1 = no or domain failure, 2 = usage error.
+
+Each command imports the library functions it calls, and json and csv are
+imported only where they are written, so a command loads only the modules
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import operator
 import sys
 from typing import Iterator
-
-from .combinat import check_ground, parse_dim_vector, subset_str
-from .freeprod import (
-    check_one_quiver,
-    component_count,
-    is_iss_smooth,
-    iss_dim,
-    orbit_representatives,
-    parse_characters,
-    rep2_values,
-    simple_alpha_report,
-    treelike_census,
-)
-from .localquiver import (
-    degeneration_graph,
-    enumerate_settings,
-    graph_json_obj,
-    local_quiver_rows,
-    setting_json_obj,
-    smooth_point,
-    young_diagram_slice,
-)
 
 
 def format_matrix(rows: list[list[int]]) -> Iterator[str]:
@@ -96,15 +76,76 @@ def one_quiver_dot(n: int) -> Iterator[str]:
 
 
 def write_json(obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline to stdout in batches of
-    encoder chunks, so the whole text is never held in memory at once."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+    """Write json.dumps(obj, indent=2) and a newline to stdout.  A top-level
+    list goes out one item at a time, and a top-level dict one entry at a
+    time with each list value one item at a time, in batches, so the whole
+    text is never held in memory at once.
+
+    Strings, ints, bools, None, lists, tuples and dicts with string keys are
+    written directly, a list of ints in one join; anything else is handed
+    to json.dumps and re-indented."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(o, nl: str) -> str:
+        """json.dumps(o, indent=2) for a value on a line that starts with nl."""
+        if isinstance(o, str):
+            return quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        inner = nl + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            items = map(int.__repr__, o) if set(map(type, o)) == {int} else [text(x, inner) for x in o]
+            return f"[{inner}{(',' + inner).join(items)}{nl}]"
+        if isinstance(o, dict) and all(isinstance(key, str) for key in o):
+            if not o:
+                return "{}"
+            entries = [f"{quote(key)}: {text(value, inner)}" for key, value in o.items()]
+            return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
+        import json
+
+        return json.dumps(o, indent=2).replace("\n", nl)
+
+    def items(seq, nl: str) -> Iterator[str]:
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in seq:
+            yield sep + text(x, inner)
+            sep = "," + inner
+        yield nl + "]"
+
+    def pieces() -> Iterator[str]:
+        if isinstance(obj, (list, tuple)) and obj:
+            yield from items(obj, "\n")
+        elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+            sep = "{\n  "
+            for key, value in obj.items():
+                yield f"{sep}{quote(key)}: "
+                if isinstance(value, (list, tuple)) and value:
+                    yield from items(value, "\n  ")
+                else:
+                    yield text(value, "\n  ")
+                sep = ",\n  "
+            yield "\n}"
+        else:
+            yield text(obj, "\n")
+
+    stream = pieces()
+    while batch := "".join(itertools.islice(stream, 1 << 10)):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
 
 
 def graph_dot(g) -> str:
+    from .localquiver import smooth_point
+
     lines = ["digraph degeneration {", "  rankdir=TB;", "  node [shape=box, style=filled];"]
     for i, s in enumerate(g.nodes):
         colour = "palegreen" if smooth_point(s) else "lightpink"
@@ -118,11 +159,15 @@ def graph_dot(g) -> str:
 def _subset_names(n: int) -> list[str]:
     """subset_str of every subset of {1..n}, indexed by bitmask; refuses n
     outside [1, MAX_GROUND] before building anything."""
+    from .combinat import check_ground, subset_str
+
     check_ground(n)
     return [subset_str(a) for a in range(1 << n)]
 
 
 def _setting_text(s) -> str:
+    from .localquiver import local_quiver_rows, smooth_point
+
     rows, dims = local_quiver_rows(s, reduced=True)
     out = [f"{s.id()}  sum_k={s.k_total}  smooth={'yes' if smooth_point(s) else 'no'}"]
     out.append("  dims: " + ",".join(map(str, dims)))
@@ -131,9 +176,13 @@ def _setting_text(s) -> str:
 
 
 def cmd_components(args) -> int:
+    from .freeprod import component_count, orbit_representatives
+
     count = component_count(args.n, args.m)
     reps = orbit_representatives(args.n, args.m) if args.orbits else []
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if args.orbits:
             writer.writerow(["alpha"])
@@ -155,6 +204,8 @@ def cmd_one_quiver(args) -> int:
     """The Euler matrix 1 - |A delta B| (matrix) and the arrows
     max(|A delta B| - 1, 0) (json) are written row by row from the Hamming
     closed form, and so are the arrows of dot."""
+    from .freeprod import check_one_quiver
+
     n = args.n
     check_one_quiver(n)
     out = sys.stdout
@@ -177,6 +228,8 @@ def cmd_one_quiver(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .localquiver import degeneration_graph, graph_json_obj
+
     g = degeneration_graph(args.n, args.m)
     if args.format == "json":
         write_json(graph_json_obj(g))
@@ -193,6 +246,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_local(args) -> int:
+    from .localquiver import enumerate_settings, setting_json_obj, young_diagram_slice
+
     if args.young:
         try:
             shape = tuple(int(x) for x in args.young.split(","))
@@ -211,6 +266,9 @@ def cmd_local(args) -> int:
 
 
 def cmd_simple(args) -> int:
+    from .combinat import parse_dim_vector
+    from .freeprod import simple_alpha_report
+
     alpha = parse_dim_vector(args.alpha)
     verdict, lines = simple_alpha_report(alpha)
     for line in lines:
@@ -220,11 +278,17 @@ def cmd_simple(args) -> int:
 
 
 def cmd_iss_dim(args) -> int:
+    from .combinat import parse_dim_vector
+    from .freeprod import iss_dim
+
     print(iss_dim(parse_dim_vector(args.alpha)))
     return 0
 
 
 def cmd_smooth_component(args) -> int:
+    from .combinat import parse_dim_vector
+    from .freeprod import is_iss_smooth
+
     alpha = parse_dim_vector(args.alpha)
     verdict = is_iss_smooth(alpha)
     mixed = sum(1 for p, q in alpha.pairs if p and q)
@@ -238,6 +302,8 @@ def cmd_rep2(args) -> int:
     subsets of the complement ascending.  A row is the names of A and B and
     a tail that depends on k = |A| alone, so each A's rows are written in
     one piece: the B names joined by the tail and A's name."""
+    from .freeprod import rep2_values
+
     n = args.n
     names = _subset_names(n)
     csv_out = args.format == "csv"
@@ -265,6 +331,8 @@ def cmd_rep2(args) -> int:
 
 
 def cmd_treelike(args) -> int:
+    from .freeprod import treelike_census
+
     counts = treelike_census(args.n)
     for label, count in counts.items():
         print(f"type {label}: {count} instances")
@@ -273,6 +341,8 @@ def cmd_treelike(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    from .freeprod import parse_characters
+
     chars = parse_characters(args.chars, args.n)
     canonical = chars.canonical()
     print(str(canonical))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 MAX_GROUND = 16
@@ -98,22 +97,71 @@ def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, [])
 
 
-@dataclass(frozen=True, order=True)
-class DimVector:
-    """Dimension vector (a_i+, a_i-) for i = 1..n with constant pair sum m."""
+class Frozen:
+    """Base of the immutable value classes.  A subclass names the fields
+    that make up its value in _fields and lists them, with any other
+    attribute, in __slots__.  Its __init__ sets each of them, and _value to
+    the tuple of the _fields, with object.__setattr__.  Equality holds only
+    within one class, the hash is hash() of that tuple, the repr reads
+    Name(field=value, ...) and assigning or deleting an attribute raises
+    AttributeError."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("_value",)
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __eq__(self, other):
+        return self._value == other._value if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._value
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DimVector(Frozen):
+    """Dimension vector (a_i+, a_i-) for i = 1..n with constant pair sum m,
+    ordered by its pairs."""
+
+    __slots__ = _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        if not pairs:
             raise ValueError("dimension vector needs at least one pair")
         sums = set()
-        for p in self.pairs:
-            if len(p) != 2 or not all(isinstance(x, int) and x >= 0 for x in p):
+        for p in pairs:
+            if len(p) != 2:
                 raise ValueError(f"bad pair {p!r}: need two nonnegative integers")
-            sums.add(p[0] + p[1])
+            a, b = p
+            if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
+                raise ValueError(f"bad pair {p!r}: need two nonnegative integers")
+            sums.add(a + b)
         if len(sums) != 1:
             raise ValueError(f"pair sums must be constant, got sums {sorted(sums)}")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_value", (pairs,))
+
+    def __lt__(self, other):
+        return self.pairs < other.pairs if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.pairs <= other.pairs if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.pairs > other.pairs if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.pairs >= other.pairs if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:

@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .combinat import (
     DimVector,
+    Frozen,
     check_ground,
     check_subset,
     parse_subset,
     subset_str,
 )
-from .quiver import Quiver, _is_simple_support
+
+if TYPE_CHECKING:
+    from .quiver import Quiver
 
 # Most pairs, orbit count times n, that orbit_representatives lists.
 MAX_ORBIT_PAIRS = 10**6
@@ -39,6 +42,8 @@ def build_Qn(n: int) -> Quiver:
     if n < 2:
         raise ValueError(f"need n >= 2 vertex pairs, got {n}")
     import numpy as np
+
+    from .quiver import Quiver
 
     arrows = np.zeros((2 * n, 2 * n), dtype=np.int64)
     arrows[0, 2:] = 1
@@ -120,6 +125,8 @@ def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
     no loops."""
+    from .quiver import Quiver
+
     return Quiver(_hamming_grid(n).clip(1) - 1)
 
 
@@ -133,27 +140,29 @@ def one_quiver_euler_closed(n: int):
     return euler
 
 
-@dataclass(frozen=True)
-class CharacterMultiset:
+class CharacterMultiset(Frozen):
     """Formal sum of characters with positive multiplicities, the summands
     indexed by subsets of {1..n}."""
 
-    n: int
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n", "counts")
 
-    def __post_init__(self) -> None:
-        check_ground(self.n)
-        if not self.counts:
+    def __init__(self, n: int, counts: tuple[tuple[int, int], ...]) -> None:
+        check_ground(n)
+        if not counts:
             raise ValueError("character multiset must be nonempty")
         seen = set()
-        for mask, mult in self.counts:
-            check_subset(mask, self.n)
+        for mask, mult in counts:
+            check_subset(mask, n)
             if mask in seen:
                 raise ValueError("duplicate subset in character multiset")
             seen.add(mask)
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-        object.__setattr__(self, "counts", tuple(sorted(self.counts)))
+        counts = tuple(sorted(counts))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "counts", counts)
+        init(self, "_value", (n, counts))
 
     @classmethod
     def from_dict(cls, n: int, counts: dict[int, int]) -> "CharacterMultiset":
@@ -297,7 +306,17 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
         raise ValueError("the zero dimension vector has no representations")
     masks, beta = zip(*chain_of(alpha).counts)
     arrows = [[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]
-    return _is_simple_support(arrows, beta)
+    return _simple_support(arrows, beta)
+
+
+def _simple_support(arrows: list[list[int]], dims) -> bool:
+    """quiver._is_simple_support, imported on the first call and bound in
+    this name's place: the quiver layer loads only once a verdict needs it,
+    and later calls pay no import."""
+    global _simple_support
+    from .quiver import _is_simple_support as _simple_support
+
+    return _simple_support(arrows, dims)
 
 
 def iss_dim(alpha: DimVector) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
 from typing import Iterator
 
 from .combinat import (
+    Frozen,
     check_ground,
     check_ints,
     full_mask,
@@ -31,23 +32,18 @@ from .quiver import Quiver, QuiverSetting
 Label = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class LocalSetting:
+class LocalSetting(Frozen):
     """One local quiver setting (A_1..A_l; k_1..k_l) for the level-m
     component over a ground set of size n.  Blocks are bitmasks; the
     constructor sorts them canonically (size desc, k desc, min element asc)
-    and keeps their sizes."""
+    and keeps their sizes, which take no part in equality, hash or repr."""
 
-    n: int
-    m: int
-    blocks: tuple[int, ...]
-    k: tuple[int, ...]
-    sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("n", "m", "blocks", "k")
+    __slots__ = (*_fields, "sizes")
 
-    def __post_init__(self) -> None:
-        n, blocks = self.n, self.blocks
+    def __init__(self, n: int, m: int, blocks: tuple[int, ...], k: tuple[int, ...]) -> None:
         check_ground(n)
-        m, *ks = check_ints((self.m, *self.k), "m and the k values")
+        m, *ks = check_ints((m, *k), "m and the k values")
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
         union = 0
@@ -72,9 +68,14 @@ class LocalSetting:
         # blocks share it, so the blocks themselves are never compared
         order = sorted(((b.bit_count(), k, -(b & -b), b) for b, k in zip(blocks, ks)), reverse=True)
         sizes, ks, _, blocks = zip(*order)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "k", ks)
-        object.__setattr__(self, "blocks", blocks)
+        n = operator.index(n)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "m", m)
+        init(self, "blocks", blocks)
+        init(self, "k", ks)
+        init(self, "sizes", sizes)
+        init(self, "_value", (n, m, blocks, ks))
 
     @property
     def l(self) -> int:
@@ -303,17 +304,22 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     return sorted(moves, key=lambda t: _label_key(t.young()), reverse=True)
 
 
-@dataclass(frozen=True)
-class DegenerationGraph:
+class DegenerationGraph(Frozen):
     """Degeneration order on permutation classes of settings: nodes are
     canonical settings, a directed edge per elementary move (coarser to
     finer).  Acyclic; its reflexive-transitive closure is the full
     degeneration order."""
 
-    n: int
-    m: int
-    nodes: tuple[LocalSetting, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n", "m", "nodes", "edges")
+
+    def __init__(self, n: int, m: int, nodes: tuple[LocalSetting, ...], edges: tuple[tuple[int, int], ...]) -> None:
+        n, m = operator.index(n), operator.index(m)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "m", m)
+        init(self, "nodes", nodes)
+        init(self, "edges", edges)
+        init(self, "_value", (n, m, nodes, edges))
 
 
 def _graph(n: int, m: int, labels: list[Label], splits: bool) -> DegenerationGraph:

@@ -11,9 +11,8 @@ operations are pure; Quiver instances freeze their matrix.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
-from .combinat import check_ints
+from .combinat import Frozen, check_ints
 
 
 class UnsupportedInputError(ValueError):
@@ -89,18 +88,20 @@ class Quiver:
         return f"Quiver({self.arrows.tolist()})"
 
 
-@dataclass(frozen=True)
-class QuiverSetting:
+class QuiverSetting(Frozen):
     """A quiver together with one dimension per vertex."""
 
-    quiver: Quiver
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("quiver", "dims")
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != self.quiver.v:
+    def __init__(self, quiver: Quiver, dims: tuple[int, ...]) -> None:
+        if len(dims) != quiver.v:
             raise ValueError("dims length must equal the vertex count")
-        if any(not isinstance(d, int) or d < 0 for d in self.dims):
+        if any(not isinstance(d, int) or d < 0 for d in dims):
             raise ValueError("dims must be nonnegative integers")
+        init = object.__setattr__
+        init(self, "quiver", quiver)
+        init(self, "dims", dims)
+        init(self, "_value", (quiver, dims))
 
 
 def _check_dims(q: Quiver, dims) -> tuple[int, ...]:

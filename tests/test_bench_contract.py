@@ -17,6 +17,8 @@ import io
 import json
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +86,40 @@ def test_census_command_matches_digest(tracer, key):
         code = cli.main(census.COMMANDS[key])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key]
+
+
+# A fresh process installs the tracer right after `import z2quiver`, as
+# `child.py stream` does, calls through the package namespace and
+# uninstalls: every call is a span, and no wrapper is left behind.
+TRACER_PROBE = """
+import importlib.util, json, sys
+import z2quiver as z
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+tracer.op = 1
+z.treelike_census(3)
+z.is_simple_alpha_oracle(z.parse_dim_vector("2,1;2,1;2,1"))
+z.degeneration_graph(4, 4)
+z.treelike_census(4)
+tracer.uninstall()
+calls = {name: agg["calls"] for name, agg in tracer.summarize()["per_name"].items()}
+left = sorted(name for name, value in vars(z).items() if hasattr(value, "__wrapped__"))
+print(json.dumps({"calls": calls, "left": left}))
+"""
+
+
+def test_tracer_installed_after_bare_import():
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(BENCH / "tracer.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    calls = result["calls"]
+    assert calls["freeprod.treelike_census"] == 2
+    assert calls["combinat.parse_dim_vector"] == 1
+    assert calls["freeprod.is_simple_alpha_oracle"] == 1
+    assert calls["freeprod.chain_of"] == 1
+    assert calls["localquiver.degeneration_graph"] == 1
+    assert result["left"] == []

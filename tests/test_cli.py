@@ -12,9 +12,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import rep2_census
 
-from z2quiver.cli import build_parser, format_matrix, main
+from z2quiver.cli import build_parser, format_matrix, main, write_json
 from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
 from z2quiver.freeprod import (
     MAX_COUNT_DIGITS,
@@ -253,6 +255,52 @@ class TestLocal:
             captured = capsys.readouterr()
             assert code == 1 and captured.out == "", young
             assert "not a diagram" in captured.err, young
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.lists(st.integers() | st.booleans(), max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=2)
+    ),
+    max_leaves=12,
+)
+
+
+class TestWriteJson:
+    def text(self, capsys, obj) -> str:
+        write_json(obj)
+        return capsys.readouterr().out
+
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_json(obj)
+        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {},
+            {"a": [], "b": {}, "c": [[]], "d": [True, 1, False, 0], "e": None},
+            [{"id": "caf\u00e9 \"x\"\n", "k": [1, 2], "f": 1.5}, [1, [2, [3]]]],
+            {"n": 3, "nodes": [{"quiver": {"v": 2, "arrows": [[0, 1], [1, 0]]}}], "edges": [["a", "b"]]},
+            {1: "int key", "s": "str key"},
+            "text",
+            7,
+        ],
+    )
+    def test_edge_cases(self, capsys, obj):
+        assert self.text(capsys, obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_refuses_what_json_refuses(self, capsys):
+        with pytest.raises(TypeError):
+            write_json({"m": np.int64(4)})
 
 
 def fifty_alpha_specs() -> list[DimVector]:
@@ -508,6 +556,49 @@ def test_numpy_stays_unloaded(argv):
     assert proc.returncode == 0, proc.stderr
     code, after_import, after_main = proc.stdout.split()
     assert (code, after_import, after_main) == ("0", "False", "False")
+
+
+# python -m z2quiver ARGS in process, as runpy runs it, then the modules the
+# command loaded.  The probe's own imports come first, so they do not count.
+MODULE_PROBE = """
+import contextlib, io, runpy, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("z2quiver", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+# Modules a command must not load, by subcommand: a census of characters
+# never reaches the settings or the quiver layer, and a degeneration command
+# never reaches the free-product layer.
+NOT_LOADED = {
+    **dict.fromkeys(("treelike", "components", "rep2", "one-quiver"), {"z2quiver.localquiver", "z2quiver.quiver"}),
+    **dict.fromkeys(("graph", "local"), {"z2quiver.freeprod"}),
+}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=[" ".join(a) for a in NUMPY_FREE_COMMANDS])
+def test_modules_loaded_per_command(argv):
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert {"z2quiver", "z2quiver.cli"} <= set(loaded)
+    assert "dataclasses" not in loaded
+    assert not NOT_LOADED.get(argv[0], set()) & set(loaded)
+    # json only where JSON is written through write_json, csv only for components --format csv
+    assert ("json" in loaded) == (argv[0] in ("graph", "local") and "json" in argv)
+    assert ("csv" in loaded) == (argv[0] == "components" and "csv" in argv)
+
+
+def test_bare_import_loads_no_submodule():
+    probe = "import sys; before = set(sys.modules); import z2quiver; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in proc.stdout.split() if m.startswith("z2quiver")] == ["z2quiver"]
 
 
 def test_numpy_free_commands_cover_every_subcommand():

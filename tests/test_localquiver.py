@@ -119,6 +119,18 @@ class TestLocalSetting:
         assert s.young() == ((3, 2), (1, 1))
         assert s.id() == "(3,1),(2,1)"
 
+    def test_numpy_level_stored_as_int(self):
+        # a numpy m was kept in DegenerationGraph.m and each LocalSetting.m,
+        # so json.dumps(graph_json_obj(g)) raised TypeError
+        g = degeneration_graph(4, np.int64(4))
+        assert type(g.n) is type(g.m) is int
+        assert all(type(s.n) is type(s.m) is int for s in g.nodes)
+        assert g == degeneration_graph(4, 4)
+        assert json.dumps(graph_json_obj(g)) == json.dumps(graph_json_obj(degeneration_graph(4, 4)))
+        s = LocalSetting(3, np.int64(3), whole(3), (np.int64(2),))
+        assert type(s.m) is type(s.k[0]) is int
+        assert type(young_diagram_slice(4, np.int64(3), (2, 2)).m) is int
+
 
 class TestEnumerateSettings:
     @pytest.mark.parametrize(

@@ -1,0 +1,162 @@
+"""The package namespace and the immutable value classes.
+
+`z2quiver` binds its public names on the first one looked up; the names, the
+objects and a star import must be those of an eager import.  The value
+classes share `combinat.Frozen`: their repr text, hash, equality, order and
+immutability are pinned here as a frozen record class gave them.
+"""
+
+import copy
+import importlib
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import z2quiver
+from z2quiver import (
+    CharacterMultiset,
+    DimVector,
+    LocalSetting,
+    Quiver,
+    QuiverSetting,
+    degeneration_graph,
+    enumerate_settings,
+    local_quiver,
+    parse_characters,
+)
+
+# Every public name of the package and the submodule that defines it.
+PUBLIC = {
+    **dict.fromkeys(
+        ["DimVector", "bn_canonicalize", "multiset_coeff", "parse_dim_vector", "parse_subset", "subset_str"],
+        "combinat",
+    ),
+    **dict.fromkeys(
+        ["CharacterMultiset", "build_Qn", "build_one_quiver", "chain_of", "component_count", "is_iss_smooth",
+         "is_simple_alpha", "is_simple_alpha_oracle", "iss_dim", "one_quiver_euler_closed", "orbit_count",
+         "orbit_representatives", "parse_characters", "simple_alpha_report", "treelike_census"],
+        "freeprod",
+    ),
+    **dict.fromkeys(
+        ["DegenerationGraph", "LocalSetting", "count_settings_for_young", "degenerates_class", "degeneration_graph",
+         "elementary_moves", "enumerate_settings", "graph_json_obj", "local_euler_matrix", "local_quiver",
+         "setting_json_obj", "smooth_point", "young_diagram_slice"],
+        "localquiver",
+    ),
+    **dict.fromkeys(
+        ["Quiver", "QuiverSetting", "UnsupportedInputError", "euler_form", "is_simple_dimvector", "is_smooth_setting",
+         "is_strongly_connected", "support"],
+        "quiver",
+    ),
+}
+SUBMODULES = ("combinat", "freeprod", "localquiver", "quiver")
+
+
+class TestNamespace:
+    def test_names_and_objects_match_an_eager_import(self):
+        # z2quiver.cli is bound here once anything imports it, as it was before
+        public = {n for n in dir(z2quiver) if not n.startswith("_")} - {"cli"}
+        assert sorted(public) == sorted([*PUBLIC, *SUBMODULES])
+        star: dict = {}
+        exec("from z2quiver import *", star)
+        del star["__builtins__"]
+        assert star.keys() == {*PUBLIC, *SUBMODULES}
+        for name, module in PUBLIC.items():
+            obj = getattr(importlib.import_module(f"z2quiver.{module}"), name)
+            assert getattr(z2quiver, name) is obj and star[name] is obj, name
+        for module in SUBMODULES:
+            assert star[module] is getattr(z2quiver, module) is sys.modules[f"z2quiver.{module}"]
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            z2quiver.no_such_name  # noqa: B018
+        assert not hasattr(z2quiver, "cli_main")
+
+    def test_first_lookup_binds_every_name(self):
+        probe = (
+            "import z2quiver\n"
+            "before = set(vars(z2quiver))\n"
+            "z2quiver.DimVector\n"
+            "print(sorted(set(z2quiver.__all__) & before), set(z2quiver.__all__) <= set(vars(z2quiver)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "True"]
+
+
+def setting() -> LocalSetting:
+    return enumerate_settings(3, 3)[1]
+
+
+# (build a value, its repr, its field tuple) with the reprs recorded from the
+# record classes the Frozen base replaced
+VALUES = [
+    (lambda: DimVector(((2, 1), (1, 2))), "DimVector(pairs=((2, 1), (1, 2)))", lambda v: (v.pairs,)),
+    (lambda: parse_characters("{1}+{2}", 3), "CharacterMultiset(n=3, counts=((1, 1), (2, 1)))",
+     lambda v: (v.n, v.counts)),
+    (setting, "LocalSetting(n=3, m=3, blocks=(3, 4), k=(2, 1))", lambda v: (v.n, v.m, v.blocks, v.k)),
+    (lambda: local_quiver(setting()), "QuiverSetting(quiver=Quiver([[1, 2], [2, 0]]), dims=(1, 1))",
+     lambda v: (v.quiver, v.dims)),
+    (lambda: degeneration_graph(2, 1),
+     "DegenerationGraph(n=2, m=1, nodes=(LocalSetting(n=2, m=1, blocks=(3,), k=(1,)),), edges=())",
+     lambda v: (v.n, v.m, v.nodes, v.edges)),
+]
+IDS = ["DimVector", "CharacterMultiset", "LocalSetting", "QuiverSetting", "DegenerationGraph"]
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("build, text, fields", VALUES, ids=IDS)
+    def test_repr_hash_and_equality(self, build, text, fields):
+        v = build()
+        assert repr(v) == text
+        assert hash(v) == hash(fields(v))
+        assert v == build() and hash(v) == hash(build())
+        assert v != fields(v) and fields(v) != v  # another class is never equal
+
+    @pytest.mark.parametrize("build, text, fields", VALUES, ids=IDS)
+    def test_immutable(self, build, text, fields):
+        v = build()
+        with pytest.raises(AttributeError):
+            v.n = 5
+        with pytest.raises(AttributeError):
+            del v.n
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert not hasattr(v, "__dict__")
+        assert repr(v) == text
+
+    @pytest.mark.parametrize("build, text, fields", VALUES, ids=IDS)
+    def test_copies(self, build, text, fields):
+        v = build()
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert twin == v and type(twin) is type(v) and fields(twin) == fields(v)
+
+    def test_dim_vector_orders_by_pairs(self):
+        vs = [DimVector(pairs) for pairs in (((1, 1),), ((2, 0),), ((0, 2),), ((1, 1), (2, 0)), ((1, 1), (0, 2)))]
+        for a in vs:
+            for b in vs:
+                assert (a < b, a <= b, a > b, a >= b) == (
+                    a.pairs < b.pairs, a.pairs <= b.pairs, a.pairs > b.pairs, a.pairs >= b.pairs)
+                assert (a == b) == (a.pairs == b.pairs)
+        assert sorted(vs) == sorted(vs, key=lambda v: v.pairs)
+        with pytest.raises(TypeError):
+            vs[0] < vs[0].pairs  # noqa: B015
+
+    def test_other_classes_are_unordered(self):
+        with pytest.raises(TypeError):
+            setting() < setting()  # noqa: B015
+
+    def test_local_setting_sizes_stay_out_of_the_value(self):
+        s = LocalSetting(4, 4, (3, 12), (1, 2))
+        assert s.sizes == (2, 2) and "sizes" not in repr(s)
+        assert hash(s) == hash((s.n, s.m, s.blocks, s.k))
+
+    def test_checks_kept(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            DimVector(())
+        with pytest.raises(ValueError, match="duplicate subset"):
+            CharacterMultiset(2, ((1, 1), (1, 2)))
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            QuiverSetting(Quiver([[0]]), (-1,))
