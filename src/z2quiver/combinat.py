@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from typing import Iterator
 
 MAX_GROUND = 16
@@ -193,8 +192,9 @@ class DimVector(Frozen):
         return ";".join(f"{p},{q}" for p, q in self.pairs)
 
 
-_PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)")
-_REPEAT_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\*\s*(\d+)")
+# The fullmatch methods of the '(a,b)*r' and 'a,b' segment patterns.  The
+# first parse compiles them: most commands never parse a dimension vector.
+_segment_matchers = None
 
 
 def parse_dim_vector(text: str) -> DimVector:
@@ -202,15 +202,24 @@ def parse_dim_vector(text: str) -> DimVector:
 
     Refuses, before building any list, text that would give more than
     MAX_PAIRS pairs, so a huge repetition count costs nothing."""
+    global _segment_matchers
+    if _segment_matchers is None:
+        import re
+
+        _segment_matchers = (
+            re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\*\s*(\d+)").fullmatch,
+            re.compile(r"(\d+)\s*,\s*(\d+)").fullmatch,
+        )
+    repeat, pair = _segment_matchers
     pairs: list[tuple[int, int]] = []
     for idx, seg in enumerate(text.split(";"), start=1):
         seg = seg.strip()
-        m = _REPEAT_RE.fullmatch(seg)
+        m = repeat(seg)
         if m:
             p, q, r = int(m.group(1)), int(m.group(2)), int(m.group(3))
             if r < 1:
                 raise ValueError(f"pair {idx}: repetition count must be >= 1 in {seg!r}")
-        elif m := _PAIR_RE.fullmatch(seg):
+        elif m := pair(seg):
             p, q, r = int(m.group(1)), int(m.group(2)), 1
         else:
             raise ValueError(f"pair {idx}: expected 'a,b' or '(a,b)*r', got {seg!r}")

@@ -18,6 +18,7 @@ from .combinat import (
     DimVector,
     Frozen,
     check_ground,
+    check_ints,
     check_subset,
     parse_subset,
     subset_str,
@@ -57,6 +58,7 @@ def component_count(n: int, m: int) -> int:
     b = (m+1).bit_length(), an exponent n*(b-1) above 4 * MAX_COUNT_DIGITS
     is refused before any power is computed; below it the count has at most
     about 2.4 * MAX_COUNT_DIGITS digits and is compared exactly."""
+    n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     too_many = f"the component count (m+1)**n of n={n}, m={m} has more than {MAX_COUNT_DIGITS} digits"
@@ -70,6 +72,7 @@ def component_count(n: int, m: int) -> int:
 
 def orbit_count(n: int, m: int) -> int:
     """Components up to signed pair permutations: C(floor(m/2)+n, n)."""
+    n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     return math.comb(m // 2 + n, n)
@@ -87,6 +90,7 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     C(small + big, small) with {small, big} = {n, m // 2}, is built up one
     factor at a time and stops once past the limit, so a huge n or m costs
     no more than a small one."""
+    n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     small, big = sorted((n, m // 2))
@@ -156,6 +160,8 @@ class CharacterMultiset(Frozen):
             if mask in seen:
                 raise ValueError("duplicate subset in character multiset")
             seen.add(mask)
+            if mult.__class__ is not int:  # a plain int, as parsing gives, needs no call
+                check_ints((mult,), "multiplicities")
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
         counts = tuple(sorted(counts))

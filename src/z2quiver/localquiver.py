@@ -13,9 +13,8 @@ LocalSetting only for what they return.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .combinat import (
     Frozen,
@@ -26,7 +25,9 @@ from .combinat import (
     partitions_of_int,
     subset_str,
 )
-from .quiver import Quiver, QuiverSetting
+
+if TYPE_CHECKING:
+    from .quiver import QuiverSetting
 
 # A setting's class label: its (size, k) block pairs in descending order.
 Label = tuple[tuple[int, int], ...]
@@ -68,14 +69,7 @@ class LocalSetting(Frozen):
         # blocks share it, so the blocks themselves are never compared
         order = sorted(((b.bit_count(), k, -(b & -b), b) for b, k in zip(blocks, ks)), reverse=True)
         sizes, ks, _, blocks = zip(*order)
-        n = operator.index(n)
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "m", m)
-        init(self, "blocks", blocks)
-        init(self, "k", ks)
-        init(self, "sizes", sizes)
-        init(self, "_value", (n, m, blocks, ks))
+        _store(self, operator.index(n), m, blocks, sizes, ks)
 
     @property
     def l(self) -> int:
@@ -97,13 +91,36 @@ class LocalSetting(Frozen):
         return f"({blocks}; k={','.join(str(k) for k in self.k)})"
 
 
-def _check_level(n: int, m: int) -> None:
+def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tuple[int, ...],
+           ks: tuple[int, ...]) -> LocalSetting:
+    """Set s's fields to a setting given in canonical order, and return s.
+
+    Only the label is checked: 1 <= k_i <= |A_i|, sum k <= m <= n and
+    sum |A_i| = n.  That the blocks are a disjoint cover of {1..n} with the
+    given sizes is the caller's to ensure: LocalSetting checks it on its
+    input, and the enumeration and the moves build blocks as runs or as a
+    split of a checked block."""
+    if not (sum(sizes) == n and sum(ks) <= m <= n and min(ks) >= 1 and all(map(operator.le, ks, sizes))):
+        raise ValueError(f"not a setting label for n={n}, m={m}: sizes {sizes}, k {ks}")
+    init = object.__setattr__
+    init(s, "n", n)
+    init(s, "m", m)
+    init(s, "blocks", blocks)
+    init(s, "k", ks)
+    init(s, "sizes", sizes)
+    init(s, "_value", (n, m, blocks, ks))
+    return s
+
+
+def _check_level(n: int, m: int) -> tuple[int, int]:
+    """n and m as ints, once checked."""
     check_ground(n)
-    check_ints((n, m), "n and m")
+    n, m = check_ints((n, m), "n and m")
     if not 1 <= m <= n:
         raise ValueError(
             f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={m}"
         )
+    return n, m
 
 
 def _label_key(label: Label) -> tuple:
@@ -116,14 +133,15 @@ def _label_key(label: Label) -> tuple:
 
 def _setting(n: int, m: int, label: Label) -> LocalSetting:
     """The canonical representative of a label: consecutive runs 1..s1,
-    s1+1..s1+s2, ... as blocks."""
+    s1+1..s1+s2, ... as blocks, which a label in descending order lists in
+    canonical order."""
     sizes, ks = zip(*label)
     blocks = []
     start = 0
     for s in sizes:
         blocks.append(full_mask(s) << start)
         start += s
-    return LocalSetting(n, m, tuple(blocks), ks)
+    return _store(object.__new__(LocalSetting), n, m, tuple(blocks), sizes, ks)
 
 
 def _diagram_labels(m: int, sizes: tuple[int, ...]) -> Iterator[Label]:
@@ -141,8 +159,7 @@ def _diagram_labels(m: int, sizes: tuple[int, ...]) -> Iterator[Label]:
 
 
 def _labels(n: int, m: int) -> list[Label]:
-    """The labels of all settings, in node order."""
-    _check_level(n, m)
+    """The labels of all settings of a checked level, in node order."""
     labels = (label for sizes in partitions_of_int(n) for label in _diagram_labels(m, sizes))
     return sorted(labels, key=_label_key, reverse=True)
 
@@ -150,6 +167,7 @@ def _labels(n: int, m: int) -> list[Label]:
 def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
     """Canonical representatives of all settings up to ground-set
     permutation, sorted with the whole-block, maximal-k node first."""
+    n, m = _check_level(n, m)
     return [_setting(n, m, label) for label in _labels(n, m)]
 
 
@@ -157,11 +175,14 @@ def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
     """Settings carried by one Young diagram at full level: the product of
     multiset coefficients ((length multichoose multiplicity))."""
     prev = None
-    for lam, mu in rows:
+    count = 1
+    for row in rows:
+        lam, mu = check_ints(row, "Young diagram rows")
         if lam < 1 or mu < 1 or (prev is not None and lam >= prev):
             raise ValueError(f"not a valid Young diagram description: {rows}")
         prev = lam
-    return math.prod(multiset_coeff(lam, mu) for lam, mu in rows)
+        count *= multiset_coeff(lam, mu)
+    return count
 
 
 def local_quiver_rows(s: LocalSetting, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
@@ -196,28 +217,34 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
     rows, dims = local_quiver_rows(s)
-    return QuiverSetting(Quiver(rows), dims)
+    return _quiver_setting(rows, dims)
+
+
+def _quiver_setting(rows: list[list[int]], dims: tuple[int, ...]) -> QuiverSetting:
+    """QuiverSetting(Quiver(rows), dims).  The quiver layer is imported on
+    the first call, which binds in this name's place a function of the
+    imported classes, so later calls pay no import and the commands that
+    build no quiver never load it."""
+    global _quiver_setting
+    from .quiver import Quiver, QuiverSetting
+
+    def _quiver_setting(rows: list[list[int]], dims: tuple[int, ...]) -> QuiverSetting:
+        return QuiverSetting(Quiver(rows), dims)
+
+    return _quiver_setting(rows, dims)
 
 
 def local_euler_matrix(s: LocalSetting):
-    """Euler matrix of the setting, an int64 ndarray: -(k^t v + v^t k +
-    k^t k - 2 diag|A_i|) bordered by -v and 1 for the trivial-character
-    vertex, the border dropped when v = (|A_i| - k_i) vanishes."""
+    """Euler matrix of the setting, an int64 ndarray: identity minus the
+    arrow rows of local_quiver over the block vertices, and the
+    trivial-character vertex too when some |A_i| > k_i joins it to a block."""
     import numpy as np
 
-    kvec = np.array(s.k, dtype=np.int64)
-    sizes = np.array(s.sizes, dtype=np.int64)
-    vvec = sizes - kvec
-    core = -(np.outer(kvec, vvec) + np.outer(vvec, kvec) + np.outer(kvec, kvec)) + 2 * np.diag(sizes)
-    if not vvec.any():
-        return core
-    l = s.l
-    out = np.zeros((l + 1, l + 1), dtype=np.int64)
-    out[:l, :l] = core
-    out[:l, l] = -vvec
-    out[l, :l] = -vvec
-    out[l, l] = 1
-    return out
+    rows, _ = local_quiver_rows(s)
+    w = s.l + (s.sizes != s.k)  # k_i <= |A_i|: they differ where some |A_i| > k_i
+    return np.array(
+        [[(i == j) - a for j, a in enumerate(row[:w])] for i, row in enumerate(rows[:w])], dtype=np.int64
+    )
 
 
 def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
@@ -291,17 +318,25 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
     class, sorted, labelled relative to s: the moves of _moves applied to
     the first block carrying each (size, k), a split's part A being the
     block's lowest s_a elements."""
+    # s's blocks as LocalSetting sorts them: (size, k, -lowest bit, block)
+    order = [(size, k, -(b & -b), b) for size, k, b in zip(s.sizes, s.k, s.blocks)]
     moves = []
     for i, parts in _moves(s.young()):
-        blocks = s.blocks
-        if len(parts) == 2:
-            part_b = blocks[i]
-            for _ in range(parts[0][0]):  # part A: the lowest s_a elements
+        size, k, low, block = order[i]
+        if len(parts) == 1:
+            new = [(size, k - 1, low, block)]
+        else:
+            (s_a, k_a), (s_b, k_b) = parts
+            part_b = block
+            for _ in range(s_a):  # part A: the lowest s_a elements
                 part_b &= part_b - 1
-            blocks = blocks[:i] + (blocks[i] ^ part_b, part_b) + blocks[i + 1 :]
-        ks = s.k[:i] + tuple(k for _, k in parts) + s.k[i + 1 :]
-        moves.append(LocalSetting(s.n, s.m, blocks, ks))
-    return sorted(moves, key=lambda t: _label_key(t.young()), reverse=True)
+            new = [(s_a, k_a, low, block ^ part_b), (s_b, k_b, -(part_b & -part_b), part_b)]
+        sizes, ks, _, blocks = zip(*sorted(order[:i] + new + order[i + 1 :], reverse=True))
+        # _label_key of the target's label; distinct targets have distinct keys
+        key = (sum(ks), -len(ks), sizes, ks)
+        moves.append((key, _store(object.__new__(LocalSetting), s.n, s.m, blocks, sizes, ks)))
+    moves.sort(key=operator.itemgetter(0), reverse=True)
+    return [t for _, t in moves]
 
 
 class DegenerationGraph(Frozen):
@@ -339,6 +374,7 @@ def _graph(n: int, m: int, labels: list[Label], splits: bool) -> DegenerationGra
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:
     """Nodes and edges come from the labels alone: a setting is built only
     for each node."""
+    n, m = _check_level(n, m)
     return _graph(n, m, _labels(n, m), True)
 
 
@@ -347,7 +383,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
     in-diagram moves are k-lowerings; splits leave the diagram).  Only that
     diagram's settings are built; they keep their order in
     enumerate_settings."""
-    _check_level(n, m)
+    n, m = _check_level(n, m)
     shape = tuple(sorted(check_ints(sizes, "diagram sizes"), reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
         raise ValueError(f"{sizes} is not a diagram of {n}")

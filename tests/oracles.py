@@ -4,8 +4,8 @@ Each is the slow, labelled or enumerative route that a closed form or a
 label-level search in the library replaced, kept as an independent oracle:
 set partitions of the ground set, labelled degeneration of settings, the
 (m+1)^n component enumeration, the level-2 census as records, the node
-order as the old Young-label key wrote it, and the character quiver's
-Euler matrix by block doubling.
+order as the old Young-label key wrote it, the character quiver's Euler
+matrix by block doubling, and a local Euler matrix from outer products.
 """
 
 from __future__ import annotations
@@ -102,6 +102,28 @@ def one_quiver_euler_recursive(n: int) -> list[list[int]]:
         shifted = [[x - 1 for x in row] for row in m]
         m = [row + low for row, low in zip(m, shifted)] + [low + row for row, low in zip(m, shifted)]
     return m
+
+
+def local_euler_outer(s: LocalSetting):
+    """Euler matrix of the setting in closed form, an int64 ndarray:
+    -(k^t v + v^t k + k^t k - 2 diag|A_i|) bordered by -v and 1 for the
+    trivial-character vertex, the border dropped when v = (|A_i| - k_i)
+    vanishes."""
+    import numpy as np
+
+    kvec = np.array(s.k, dtype=np.int64)
+    sizes = np.array(s.sizes, dtype=np.int64)
+    vvec = sizes - kvec
+    core = -(np.outer(kvec, vvec) + np.outer(vvec, kvec) + np.outer(kvec, kvec)) + 2 * np.diag(sizes)
+    if not vvec.any():
+        return core
+    l = s.l
+    out = np.zeros((l + 1, l + 1), dtype=np.int64)
+    out[:l, :l] = core
+    out[:l, l] = -vvec
+    out[l, :l] = -vvec
+    out[l, l] = 1
+    return out
 
 
 def degenerates(s: LocalSetting, t: LocalSetting) -> bool:

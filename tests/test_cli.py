@@ -573,10 +573,10 @@ print(code, *sorted(set(sys.modules) - before))
 
 # Modules a command must not load, by subcommand: a census of characters
 # never reaches the settings or the quiver layer, and a degeneration command
-# never reaches the free-product layer.
+# never reaches the free-product or the quiver layer.
 NOT_LOADED = {
     **dict.fromkeys(("treelike", "components", "rep2", "one-quiver"), {"z2quiver.localquiver", "z2quiver.quiver"}),
-    **dict.fromkeys(("graph", "local"), {"z2quiver.freeprod"}),
+    **dict.fromkeys(("graph", "local"), {"z2quiver.freeprod", "z2quiver.quiver"}),
 }
 
 
@@ -592,6 +592,34 @@ def test_modules_loaded_per_command(argv):
     # json only where JSON is written through write_json, csv only for components --format csv
     assert ("json" in loaded) == (argv[0] in ("graph", "local") and "json" in argv)
     assert ("csv" in loaded) == (argv[0] == "components" and "csv" in argv)
+
+
+# MODULE_PROBE with re.compile wrapped, then the z2quiver modules that called it.
+COMPILE_PROBE = """
+import re, sys
+callers = []
+original = re.compile
+def compile(*args, **kwargs):
+    callers.append(sys._getframe(1).f_globals["__name__"])
+    return original(*args, **kwargs)
+re.compile = compile
+""" + MODULE_PROBE + """
+print(*[name for name in callers if name.startswith("z2quiver")])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, callers",
+    [(("treelike", "--n", "4"), []), (("simple", "--alpha", "1,1;1,1"), ["z2quiver.combinat"] * 2)],
+    ids=["treelike", "simple"],
+)
+def test_patterns_compiled_only_by_a_parse(argv, callers):
+    # combinat compiled its two dimension-vector patterns at import
+    proc = subprocess.run([sys.executable, "-c", COMPILE_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, compiled = proc.stdout.splitlines()
+    assert loaded.split()[0] == "0"
+    assert compiled.split() == callers
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -181,6 +182,13 @@ class TestDimVector:
         assert parse_dim_vector(f"(1,0)*{MAX_PAIRS}").n == MAX_PAIRS
         with pytest.raises(ValueError, match="pair 2"):
             parse_dim_vector(f"(1,0)*{MAX_PAIRS};0,1")
+
+    def test_later_parses_compile_nothing(self, monkeypatch):
+        parse_dim_vector("1,0")
+        calls = []
+        monkeypatch.setattr(re, "compile", lambda *args, **kwargs: calls.append(args))
+        assert parse_dim_vector("(2,1)*3;2,1") == DimVector.standard(4, 3)
+        assert calls == []
 
     def test_constant_sum_enforced(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,16 @@ class TestComponents:
         with pytest.raises(ValueError):
             orbit_representatives(n, m)
 
+    @pytest.mark.parametrize(
+        "count, n, m",
+        [(component_count, 2.0, 2), (orbit_count, "3", 2), (orbit_representatives, 2.5, 2)],
+        ids=["component_count-float", "orbit_count-str", "orbit_representatives-float"],
+    )
+    def test_non_integers_refused(self, count, n, m):
+        # component_count(2.0, 2) returned 9.0; the other two raised TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            count(n, m)
+
     def test_orbit_limit_boundary(self, monkeypatch):
         monkeypatch.setattr(freeprod, "MAX_ORBIT_PAIRS", 10)
         # n = 1: floor(m/2) + 1 orbits of one pair each
@@ -308,6 +318,12 @@ class TestCharacters:
     def test_parse_requires_n_for_empty(self):
         with pytest.raises(ValueError):
             parse_characters("{}^2")
+
+    def test_non_integer_multiplicity_refused(self):
+        # was accepted as a multiplicity of 2.5
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            CharacterMultiset(3, ((1, 2.5),))
+        assert CharacterMultiset(3, ((1, np.int64(2)),)).degree() == 2
 
     @pytest.mark.parametrize("text", ["{1}^0+{2}", "{1}^00", "{2}+{1}^0"])
     def test_parse_zero_multiplicity_rejected(self, text):

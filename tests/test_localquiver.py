@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
-from oracles import degenerates, enumerate_set_partitions, min_element, young_sort_key
+from oracles import degenerates, enumerate_set_partitions, local_euler_outer, min_element, young_sort_key
 
+from z2quiver import localquiver
 from z2quiver.combinat import (
     DimVector,
     full_mask,
@@ -132,6 +133,39 @@ class TestLocalSetting:
         assert type(young_diagram_slice(4, np.int64(3), (2, 2)).m) is int
 
 
+class TestLabelBuilt:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equal_to_validated_construction(self, n):
+        # the enumeration and the moves build settings from labels without
+        # the block checks; each equals LocalSetting on the same blocks and k
+        def check(s):
+            t = LocalSetting(s.n, s.m, s.blocks, s.k)
+            assert (t, t.sizes) == (s, s.sizes), s
+            assert type(s.n) is type(s.m) is int
+
+        for m in range(1, n + 1):
+            for s in enumerate_settings(n, m):
+                check(s)
+                for t in elementary_moves(s):
+                    check(t)
+
+    @pytest.mark.parametrize(
+        "n,m,blocks,sizes,k",
+        [
+            (3, 3, (7,), (3,), (0,)),
+            (3, 3, (7,), (3,), (4,)),
+            (3, 2, (7,), (3,), (3,)),
+            (3, 4, (7,), (3,), (3,)),
+            (3, 3, (3,), (2,), (1,)),
+            (3, 3, (7, 8), (3, 1), (1, 1)),
+        ],
+        ids=["k-zero", "k-above-size", "sum-k-above-m", "m-above-n", "sizes-below-n", "sizes-above-n"],
+    )
+    def test_malformed_label_refused(self, n, m, blocks, sizes, k):
+        with pytest.raises(ValueError, match="not a setting label"):
+            localquiver._store(object.__new__(LocalSetting), n, m, blocks, sizes, k)
+
+
 class TestEnumerateSettings:
     @pytest.mark.parametrize(
         "n,m,count",
@@ -197,6 +231,11 @@ class TestCountForYoung:
     def test_invalid(self):
         with pytest.raises(ValueError):
             count_settings_for_young(((2, 1), (2, 1)))
+
+    def test_non_integer_row_refused(self):
+        # raised TypeError from math.comb
+        with pytest.raises(ValueError, match="must be integers"):
+            count_settings_for_young(((2.5, 1),))
 
 
 class TestLocalQuiver:
@@ -270,6 +309,14 @@ class TestLocalEulerMatrix:
     def test_one_block_with_room(self):
         s = LocalSetting(3, 3, whole(3), (1,))
         assert local_euler_matrix(s).tolist() == [[1, -2], [-2, 1]]
+
+    def test_matches_outer_product_closed_form(self):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    e = local_euler_matrix(s)
+                    assert e.dtype == np.int64
+                    assert np.array_equal(e, local_euler_outer(s)), s
 
     def test_matches_local_quiver_everywhere(self):
         for n in range(1, 7):
