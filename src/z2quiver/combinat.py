@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator
+from typing import Callable, Iterator
 
 MAX_GROUND = 16
+# Most decimal digits of a count: CPython's default limit on int-to-str
+# conversion, so every count that prints keeps printing.
+MAX_COUNT_DIGITS = 4300
 # Most pairs a dimension vector parsed from text may hold.  It lies far above
 # any n the computations are meant for and keeps a repetition such as
 # '(1,0)*1000000000' from being expanded into a billion-entry list.
@@ -70,13 +73,27 @@ def parse_subset(text: str, n: int | None = None) -> int:
     return mask
 
 
+def capped_count(low_bits: int, count: Callable[[], int], what: str) -> int:
+    """count(), refused with ValueError past MAX_COUNT_DIGITS digits.  The caller's
+    low_bits <= log2(count()), read from bit lengths, refuses a count past
+    2**(4 * MAX_COUNT_DIGITS) uncomputed; the rest is compared exactly."""
+    if low_bits <= 4 * MAX_COUNT_DIGITS:
+        value = count()
+        if value < 10**MAX_COUNT_DIGITS:
+            return value
+    raise ValueError(f"{what} has more than {MAX_COUNT_DIGITS} digits")
+
+
 def multiset_coeff(k: int, n: int) -> int:
-    """Number of size-n multisets drawn from k symbols: C(k+n-1, n)."""
+    """Number of size-n multisets drawn from k symbols: C(k+n-1, n), capped
+    with j = min(n, k-1) as C(k+n-1, j) >= max(2, (k+n-1)/j)**j."""
     if k < 0 or n < 0:
         raise ValueError("multiset_coeff needs nonnegative arguments")
     if n == 0:
         return 1
-    return math.comb(k + n - 1, n)
+    top, j = k + n - 1, min(n, k - 1)
+    low_bits = j * max(1, top.bit_length() - 1 - j.bit_length()) if j > 0 else 0
+    return capped_count(low_bits, lambda: math.comb(top, n), f"the count C({top}, {n})")
 
 
 def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
@@ -147,8 +164,7 @@ class DimVector(Frozen):
             sums.add(a + b)
         if len(sums) != 1:
             raise ValueError(f"pair sums must be constant, got sums {sorted(sums)}")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_value", (pairs,))
+        _store_pairs(self, pairs)
 
     def __lt__(self, other):
         return self.pairs < other.pairs if other.__class__ is self.__class__ else NotImplemented
@@ -171,9 +187,6 @@ class DimVector(Frozen):
         """The constant pair sum (the representation dimension)."""
         return self.pairs[0][0] + self.pairs[0][1]
 
-    def canonical(self) -> "DimVector":
-        return bn_canonicalize(self)
-
     @classmethod
     def standard(cls, n: int, m: int) -> "DimVector":
         """(m-1, 1) at every index; the component of the standard rank-n
@@ -192,7 +205,15 @@ class DimVector(Frozen):
         return ";".join(f"{p},{q}" for p, q in self.pairs)
 
 
-# The fullmatch methods of the '(a,b)*r' and 'a,b' segment patterns.  The
+def _store_pairs(v: DimVector, pairs: tuple[tuple[int, int], ...]) -> DimVector:
+    """Set v's fields to pairs, unchecked: the caller has checked them."""
+    init = object.__setattr__
+    init(v, "pairs", pairs)
+    init(v, "_value", (pairs,))
+    return v
+
+
+# The fullmatch methods of the 'a,b' and '(a,b)*r' segment patterns.  The
 # first parse compiles them: most commands never parse a dimension vector.
 _segment_matchers = None
 
@@ -207,26 +228,31 @@ def parse_dim_vector(text: str) -> DimVector:
         import re
 
         _segment_matchers = (
-            re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\*\s*(\d+)").fullmatch,
             re.compile(r"(\d+)\s*,\s*(\d+)").fullmatch,
+            re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\*\s*(\d+)").fullmatch,
         )
-    repeat, pair = _segment_matchers
+    pair, repeat = _segment_matchers
     pairs: list[tuple[int, int]] = []
     for idx, seg in enumerate(text.split(";"), start=1):
         seg = seg.strip()
-        m = repeat(seg)
+        # the two patterns are disjoint: only the second starts with '('
+        m = pair(seg)
         if m:
+            p, q, r = int(m.group(1)), int(m.group(2)), 1
+        elif m := repeat(seg):
             p, q, r = int(m.group(1)), int(m.group(2)), int(m.group(3))
             if r < 1:
                 raise ValueError(f"pair {idx}: repetition count must be >= 1 in {seg!r}")
-        elif m := pair(seg):
-            p, q, r = int(m.group(1)), int(m.group(2)), 1
         else:
             raise ValueError(f"pair {idx}: expected 'a,b' or '(a,b)*r', got {seg!r}")
         if len(pairs) + r > MAX_PAIRS:
             raise ValueError(f"pair {idx}: {seg!r} takes the dimension vector past {MAX_PAIRS} pairs")
         pairs.extend([(p, q)] * r)
-    return DimVector(tuple(pairs))
+    sums = {p + q for p, q in pairs}
+    if len(sums) != 1:
+        raise ValueError(f"pair sums must be constant, got sums {sorted(sums)}")
+    # every pair is two nonnegative ints, as the patterns match only digits
+    return _store_pairs(object.__new__(DimVector), tuple(pairs))
 
 
 def bn_canonicalize(v: DimVector) -> DimVector:
@@ -239,5 +265,5 @@ def bn_canonicalize(v: DimVector) -> DimVector:
     pair so that a_i+ >= a_i- and sorts pairs by a_i+ descending, giving
     m >= a_1+ >= ... >= a_n+ >= m/2.  Idempotent.
     """
-    pairs = sorted(((max(p), min(p)) for p in v.pairs), reverse=True)
-    return DimVector(tuple(pairs))
+    pairs = sorted([(p, q) if p >= q else (q, p) for p, q in v.pairs], reverse=True)
+    return _store_pairs(object.__new__(DimVector), tuple(pairs))

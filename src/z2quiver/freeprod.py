@@ -15,11 +15,14 @@ import math
 from typing import TYPE_CHECKING
 
 from .combinat import (
+    MAX_COUNT_DIGITS,
     DimVector,
     Frozen,
+    _store_pairs,
+    capped_count,
     check_ground,
     check_ints,
-    check_subset,
+    multiset_coeff,
     parse_subset,
     subset_str,
 )
@@ -29,9 +32,6 @@ if TYPE_CHECKING:
 
 # Most pairs, orbit count times n, that orbit_representatives lists.
 MAX_ORBIT_PAIRS = 10**6
-# Most decimal digits of a component count: CPython's default limit on
-# int-to-str conversion, so every count that prints keeps printing.
-MAX_COUNT_DIGITS = 4300
 # Largest n whose 2**n x 2**n character-quiver matrices are built.
 MAX_ONE_QUIVER_GROUND = 12
 
@@ -53,29 +53,22 @@ def build_Qn(n: int) -> Quiver:
 
 
 def component_count(n: int, m: int) -> int:
-    """(m+1)**n.  Refuses with ValueError a count of more than
-    MAX_COUNT_DIGITS decimal digits.  Since (m+1)**n >= 2**(n*(b-1)) for
-    b = (m+1).bit_length(), an exponent n*(b-1) above 4 * MAX_COUNT_DIGITS
-    is refused before any power is computed; below it the count has at most
-    about 2.4 * MAX_COUNT_DIGITS digits and is compared exactly."""
+    """(m+1)**n, capped past MAX_COUNT_DIGITS digits with (m+1)**n >=
+    2**(n*(b-1)) for b = (m+1).bit_length(): the rest have at most about
+    2.4 * MAX_COUNT_DIGITS digits."""
     n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    too_many = f"the component count (m+1)**n of n={n}, m={m} has more than {MAX_COUNT_DIGITS} digits"
-    if n * ((m + 1).bit_length() - 1) > 4 * MAX_COUNT_DIGITS:
-        raise ValueError(too_many)
-    count = (m + 1) ** n
-    if count >= 10**MAX_COUNT_DIGITS:
-        raise ValueError(too_many)
-    return count
+    what = f"the component count (m+1)**n of n={n}, m={m}"
+    return capped_count(n * ((m + 1).bit_length() - 1), lambda: (m + 1) ** n, what)
 
 
 def orbit_count(n: int, m: int) -> int:
-    """Components up to signed pair permutations: C(floor(m/2)+n, n)."""
+    """Components up to signed pair permutations: C(floor(m/2)+n, n), capped by multiset_coeff."""
     n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return math.comb(m // 2 + n, n)
+    return multiset_coeff(m // 2 + 1, n)
 
 
 def orbit_representatives(n: int, m: int) -> list[DimVector]:
@@ -86,20 +79,10 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     representatives are listed from those multisets, one per orbit.
 
     Refuses with ValueError, before building any list, an answer of more
-    than MAX_ORBIT_PAIRS pairs, orbit_count(n, m) * n in all.  That count,
-    C(small + big, small) with {small, big} = {n, m // 2}, is built up one
-    factor at a time and stops once past the limit, so a huge n or m costs
-    no more than a small one."""
+    than MAX_ORBIT_PAIRS pairs, orbit_count(n, m) * n in all; orbit_count
+    refuses a huge count before computing it."""
     n, m = check_ints((n, m), "n and m")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    small, big = sorted((n, m // 2))
-    count = 1
-    for i in range(1, small + 1):
-        if count * n > MAX_ORBIT_PAIRS:
-            break
-        count = count * (big + i) // i
-    if count * n > MAX_ORBIT_PAIRS:
+    if orbit_count(n, m) * n > MAX_ORBIT_PAIRS:
         raise ValueError(f"more than {MAX_ORBIT_PAIRS} pairs in the orbit representatives of n={n}, m={m}")
     return sorted(
         DimVector(tuple((p, m - p) for p in plus))
@@ -156,7 +139,8 @@ class CharacterMultiset(Frozen):
             raise ValueError("character multiset must be nonempty")
         seen = set()
         for mask, mult in counts:
-            check_subset(mask, n)
+            if not isinstance(mask, int) or mask < 0 or mask >> n:
+                raise ValueError(f"{mask!r} is not a subset mask over {{1..{n}}}")
             if mask in seen:
                 raise ValueError("duplicate subset in character multiset")
             seen.add(mask)
@@ -164,15 +148,7 @@ class CharacterMultiset(Frozen):
                 check_ints((mult,), "multiplicities")
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
-        counts = tuple(sorted(counts))
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "counts", counts)
-        init(self, "_value", (n, counts))
-
-    @classmethod
-    def from_dict(cls, n: int, counts: dict[int, int]) -> "CharacterMultiset":
-        return cls(n, tuple((a, c) for a, c in counts.items() if c))
+        _store_counts(self, n, tuple(sorted(counts)))
 
     def degree(self) -> int:
         return sum(c for _, c in self.counts)
@@ -183,7 +159,7 @@ class CharacterMultiset(Frozen):
 
     def dim_vector(self) -> DimVector:
         total = self.degree()
-        return DimVector(tuple((total - minus, minus) for minus in self._minus_counts()))
+        return _store_pairs(object.__new__(DimVector), tuple((total - minus, minus) for minus in self._minus_counts()))
 
     def is_chain(self) -> bool:
         masks = [a for a, _ in self.counts]
@@ -210,6 +186,15 @@ class CharacterMultiset(Frozen):
         return "+".join(terms)
 
 
+def _store_counts(c: CharacterMultiset, n: int, counts: tuple[tuple[int, int], ...]) -> CharacterMultiset:
+    """Set c's fields, unchecked: counts sorted, masks distinct, counts >= 1."""
+    init = object.__setattr__
+    init(c, "n", n)
+    init(c, "counts", counts)
+    init(c, "_value", (n, counts))
+    return c
+
+
 def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
     """Parse '{1}+{2}' or '{}^2+{1,2,3}'; n defaults to the largest element."""
     counts: dict[int, int] = {}
@@ -231,23 +216,24 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
         if top == 0:
             raise ValueError("cannot infer the ground-set size; pass n explicitly")
         n = top
-    return CharacterMultiset.from_dict(n, counts)
+    # parse_subset checked each mask against n, and each multiplicity is >= 1
+    return _store_counts(object.__new__(CharacterMultiset), n, tuple(sorted(counts.items())))
 
 
 def _chain(n: int, minus: list[int], degree: int) -> CharacterMultiset:
     """The chain sum of S_t = {i : minus_i >= t} for t = 1..degree.  S_t only
     changes where t passes a value of minus, so walking the indices by
     minus descending gives each distinct S_t with its multiplicity in
-    O(n log n) steps, whatever the degree."""
-    counts: dict[int, int] = {}
+    O(n log n) steps, whatever the degree, each mask above the one before."""
+    counts = []
     mask, top = 0, degree
     for value, i in sorted(((v, i) for i, v in enumerate(minus) if v), reverse=True):
         if value < top:
-            counts[mask] = top - value  # S_t for value < t <= top
+            counts.append((mask, top - value))  # S_t for value < t <= top
             top = value
         mask |= 1 << i
-    counts[mask] = top
-    return CharacterMultiset.from_dict(n, counts)
+    counts.append((mask, top))
+    return _store_counts(object.__new__(CharacterMultiset), n, tuple(counts))
 
 
 def chain_of(alpha: DimVector) -> CharacterMultiset:
@@ -266,36 +252,47 @@ def chain_of(alpha: DimVector) -> CharacterMultiset:
 
 def is_simple_alpha(alpha: DimVector) -> bool:
     """Closed-form simplicity test for a component's dimension vector."""
-    verdict, _ = simple_alpha_report(alpha)
-    return verdict
+    return _simple_alpha_core(alpha)[0]
+
+
+def _simple_alpha_core(alpha: DimVector) -> tuple[bool, str, int, int]:
+    """The closed-form verdict on alpha, formatting nothing, with the rule
+    that decided it: "m = 1", "n <= 2" (on the character quiver), "above
+    bound", "exception" or "within bound", and the sum_i max(a_i+, a_i-)
+    and m*(n-1) that the last three compared (0 and 0 for the first two)."""
+    pairs, m, n = alpha.pairs, alpha.m, alpha.n
+    if m < 1:
+        raise ValueError("the zero dimension vector has no representations")
+    if m == 1:
+        return True, "m = 1", 0, 0
+    if n <= 2:
+        return is_simple_alpha_oracle(alpha), "n <= 2", 0, 0
+    smax = sum([p if p > q else q for p, q in pairs])
+    bound = m * (n - 1)
+    if smax > bound:
+        return False, "above bound", smax, bound
+    # the exception orbit (2k,0)*(n-2);(k,k);(k,k): mixed only at its two (k,k)
+    k = m // 2
+    if m > 2 and m % 2 == 0 and pairs.count((k, k)) == 2 and sum([1 for p, q in pairs if p and q]) == 2:
+        return False, "exception", smax, bound
+    return True, "within bound", smax, bound
 
 
 def simple_alpha_report(alpha: DimVector) -> tuple[bool, list[str]]:
-    """Simplicity verdict plus human-readable reasoning lines."""
-    m, n = alpha.m, alpha.n
-    if m < 1:
-        raise ValueError("the zero dimension vector has no representations")
+    """Simplicity verdict plus human-readable reasoning lines, rendered from
+    _simple_alpha_core."""
+    verdict, rule, smax, bound = _simple_alpha_core(alpha)
+    n, m = alpha.n, alpha.m
     lines = [f"alpha = {alpha}  (n={n}, m={m})"]
-    if m == 1:
+    if rule == "m = 1":
         lines.append("m = 1: alpha is a one-dimensional character")
-        return True, lines
-    if n <= 2:
-        verdict = is_simple_alpha_oracle(alpha)
+    elif rule == "n <= 2":
         lines.append(f"n = {n} <= 2: decided directly on the character quiver")
-        return verdict, lines
-    smax = sum(max(p) for p in alpha.pairs)
-    bound = m * (n - 1)
-    if smax > bound:
-        lines.append(f"sum_i max(a_i+, a_i-) = {smax} > {bound} = m*(n-1)")
-        return False, lines
-    lines.append(f"sum_i max(a_i+, a_i-) = {smax} <= {bound} = m*(n-1)")
-    if m % 2 == 0:
-        k = m // 2
-        exception = ((2 * k, 0),) * (n - 2) + ((k, k), (k, k))
-        if k != 1 and alpha.canonical().pairs == exception:
-            lines.append(f"exception orbit (2k,0)*{n - 2};(k,k);(k,k) with k={k}")
-            return False, lines
-    return True, lines
+    else:
+        lines.append(f"sum_i max(a_i+, a_i-) = {smax} {'>' if rule == 'above bound' else '<='} {bound} = m*(n-1)")
+        if rule == "exception":
+            lines.append(f"exception orbit (2k,0)*{n - 2};(k,k);(k,k) with k={m // 2}")
+    return verdict, lines
 
 
 def is_simple_alpha_oracle(alpha: DimVector) -> bool:
@@ -311,7 +308,7 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
     if alpha.m < 1:
         raise ValueError("the zero dimension vector has no representations")
     masks, beta = zip(*chain_of(alpha).counts)
-    arrows = [[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]
+    arrows = [[((a ^ b).bit_count() or 1) - 1 for b in masks] for a in masks]
     return _simple_support(arrows, beta)
 
 

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .combinat import (
     Frozen,
+    capped_count,
     check_ground,
     check_ints,
     full_mask,
@@ -173,7 +174,7 @@ def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
 
 def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
     """Settings carried by one Young diagram at full level: the product of
-    multiset coefficients ((length multichoose multiplicity))."""
+    multiset coefficients ((length multichoose multiplicity)), refused past MAX_COUNT_DIGITS digits."""
     prev = None
     count = 1
     for row in rows:
@@ -181,7 +182,7 @@ def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
         if lam < 1 or mu < 1 or (prev is not None and lam >= prev):
             raise ValueError(f"not a valid Young diagram description: {rows}")
         prev = lam
-        count *= multiset_coeff(lam, mu)
+        count = capped_count(0, lambda: count * multiset_coeff(lam, mu), "the settings count")
     return count
 
 

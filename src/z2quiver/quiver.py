@@ -47,16 +47,6 @@ class Quiver:
     def v(self) -> int:
         return self.arrows.shape[0]
 
-    def symmetric(self) -> bool:
-        return bool((self.arrows == self.arrows.T).all())
-
-    def has_loops(self) -> bool:
-        return self.v > 0 and bool(self.arrows.diagonal().any())
-
-    def arrow_count(self) -> int:
-        """The total number of arrows, summed exactly in Python ints."""
-        return sum(map(sum, self.arrows.tolist()))
-
     def euler_matrix(self):
         """Matrix of the Euler form, an int64 ndarray: identity minus the
         arrow matrix."""
@@ -66,13 +56,6 @@ class Quiver:
 
     def to_json_obj(self) -> dict:
         return {"v": self.v, "arrows": self.arrows.tolist()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Quiver":
-        q = cls(obj["arrows"])
-        if q.v != obj.get("v", q.v):
-            raise ValueError("vertex count does not match the arrow matrix")
-        return q
 
     def __eq__(self, other) -> bool:
         return (
@@ -138,26 +121,19 @@ def support(q: Quiver, dims) -> QuiverSetting:
 
 def is_strongly_connected(q: Quiver) -> bool:
     """Every ordered vertex pair joined by a directed path; one vertex: True."""
-    return _strongly_connected(q.arrows.tolist())
+    a = q.arrows.tolist()
+    return len(a) <= 1 or _reaches_all(a) and _reaches_all(list(zip(*a)))
 
 
-def _strongly_connected(a: list[list[int]]) -> bool:
-    v = len(a)
-    if v <= 1:
-        return True
-
-    def covers(joined) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(v):
-                if j not in seen and joined(i, j):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == v
-
-    return covers(lambda i, j: a[i][j]) and covers(lambda i, j: a[j][i])
+def _reaches_all(rows) -> bool:
+    """Whether a search from vertex 0 along the nonzero entries of rows reaches every vertex."""
+    seen, stack = [True] + [False] * (len(rows) - 1), [0]
+    while stack:
+        for j, k in enumerate(rows[stack.pop()]):
+            if k and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return all(seen)
 
 
 def _is_oriented_cycle(a: list[list[int]]) -> bool:
@@ -198,12 +174,12 @@ def _is_simple_support(a: list[list[int]], dims) -> bool:
         return a[0][0] >= 2 or dims[0] == 1
     if _is_oriented_cycle(a):
         return all(x == 1 for x in dims)
-    if not _strongly_connected(a):
+    cols = list(zip(*a))
+    if not (_reaches_all(a) and _reaches_all(cols)):  # strongly connected
         return False
-    for i, x in enumerate(dims):
-        into = sum(y * row[i] for y, row in zip(dims, a))
-        out = sum(r * y for r, y in zip(a[i], dims))
-        if x > into or x > out:
+    # the Euler inequalities: dims_i <= the dims-weighted arrows into i, and out of i
+    for x, row, col in zip(dims, a, cols):
+        if x > sum(map(operator.mul, dims, col)) or x > sum(map(operator.mul, row, dims)):
             return False
     return True
 

@@ -5,7 +5,9 @@ label-level search in the library replaced, kept as an independent oracle:
 set partitions of the ground set, labelled degeneration of settings, the
 (m+1)^n component enumeration, the level-2 census as records, the node
 order as the old Young-label key wrote it, the character quiver's Euler
-matrix by block doubling, and a local Euler matrix from outer products.
+matrix by block doubling, a local Euler matrix from outer products, and the
+simplicity test on a support with a per-cell strong-connectivity search and
+an index-sum Euler loop.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, subset_str
-from z2quiver.freeprod import rep2_values
+from z2quiver.freeprod import CharacterMultiset, rep2_values
 from z2quiver.localquiver import LocalSetting
+from z2quiver.quiver import _is_oriented_cycle
 
 
 def min_element(a: int) -> int:
@@ -141,6 +144,12 @@ def degenerates(s: LocalSetting, t: LocalSetting) -> bool:
     return True
 
 
+def character_sum(n: int, counts: dict[int, int]) -> CharacterMultiset:
+    """The character sum with the given mask counts, zero counts left out:
+    the tests' rewriters and random sums build their counts as dicts."""
+    return CharacterMultiset(n, tuple((a, c) for a, c in counts.items() if c))
+
+
 def components(n: int, m: int) -> Iterator[DimVector]:
     """All dimension vectors with pair sum m, one per component."""
     if n < 1 or m < 0:
@@ -178,3 +187,42 @@ def rep2_census(n: int) -> Iterator[Rep2Component]:
             if b == comp:
                 break
             b = (b - comp) & comp
+
+
+def strongly_connected(a: list[list[int]]) -> bool:
+    """Strong connectivity of the int arrow rows a by two searches from
+    vertex 0 that test each vertex pair through a call, along the arrows and
+    against them."""
+    v = len(a)
+    if v <= 1:
+        return True
+
+    def covers(joined) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(v):
+                if j not in seen and joined(i, j):
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == v
+
+    return covers(lambda i, j: a[i][j]) and covers(lambda i, j: a[j][i])
+
+
+def is_simple_support(a: list[list[int]], dims) -> bool:
+    """quiver._is_simple_support with strongly_connected and the Euler
+    inequalities summed over vertex indices."""
+    if len(dims) == 1:
+        return a[0][0] >= 2 or dims[0] == 1
+    if _is_oriented_cycle(a):
+        return all(x == 1 for x in dims)
+    if not strongly_connected(a):
+        return False
+    for i, x in enumerate(dims):
+        into = sum(y * row[i] for y, row in zip(dims, a))
+        out = sum(r * y for r, y in zip(a[i], dims))
+        if x > into or x > out:
+            return False
+    return True

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import SetPartition, enumerate_set_partitions
 
 from z2quiver.combinat import (
+    MAX_COUNT_DIGITS,
     MAX_PAIRS,
     DimVector,
     bn_canonicalize,
@@ -74,6 +76,26 @@ class TestMultisetCoeff:
         for k in range(0, 6):
             for n in range(0, 6):
                 assert multiset_coeff(k, n) == brute_multiset(k, n)
+
+    def test_huge_coefficient_refused_up_front(self):
+        # took about 35 s to compute C(2 * 10**6 - 1, 10**6)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"more than {MAX_COUNT_DIGITS} digits"):
+            multiset_coeff(10**6, 10**6)
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("k", [2, 3, 50])
+    def test_digit_limit_compared_exactly(self, k):
+        # multiset_coeff(n + k, n) = C(2n + k - 1, n): the largest n whose
+        # coefficient has at most MAX_COUNT_DIGITS digits answers, the next
+        # is refused; the bit-length bound alone cannot tell them apart
+        limit = 10**MAX_COUNT_DIGITS
+        n, count = 1, k + 1  # count = C(2n + k - 1, n)
+        while (step := count * (2 * n + k) * (2 * n + k + 1) // ((n + 1) * (n + k))) < limit:
+            n, count = n + 1, step
+        assert multiset_coeff(n + k, n) == count == math.comb(2 * n + k - 1, n)
+        with pytest.raises(ValueError, match="digits"):
+            multiset_coeff(n + 1 + k, n + 1)
 
 
 class TestSetPartitions:
