@@ -32,44 +32,30 @@ def format_matrix(rows: list[list[int]]) -> Iterator[str]:
         yield " ".join(map(texts.__getitem__, row))
 
 
-def _hamming_blocks(n: int, block) -> Iterator[list]:
-    """For each row i of a 2**n x 2**n grid whose cell (i, j) depends only on
-    popcount(i ^ j), in order, the list of the row's low-half blocks.
-
-    With i and j split into their high bits and their low h = n // 2 bits,
-    popcount(i ^ j) = popcount(i_hi ^ j_hi) + popcount(i_lo ^ j_lo).  So
-    block(ds), where ds lists d + popcount(i_lo ^ j_lo) over j_lo, is made
-    once for each high-half distance d and each i_lo, and a row picks its
-    2**(n-h) blocks by the distances of their high halves.  The table holds
-    (n-h+1) * 2**h blocks, and no 4**n grid is ever built."""
-    h = n // 2
-    low, high = range(1 << h), range(1 << (n - h))
-    blocks = [[block([d + (a ^ b).bit_count() for b in low]) for a in low] for d in range(n - h + 1)]
-    for i_hi in high:
-        picked = [blocks[(i_hi ^ j_hi).bit_count()] for j_hi in high]
-        for i_lo in low:
-            yield [row[i_lo] for row in picked]
-
-
 def hamming_rows(n: int, texts: list[str], sep: str) -> Iterator[str]:
     """The rows of the 2**n x 2**n grid whose cell (i, j) is
-    texts[popcount(i ^ j)], its cells joined by sep, one low-half block at
-    a time."""
-    return map(sep.join, _hamming_blocks(n, lambda ds: sep.join([texts[d] for d in ds])))
+    texts[popcount(i ^ j)], its cells joined by sep: freeprod.hamming_split
+    joins each low-half block row once, and a row joins its picks."""
+    from .freeprod import hamming_split
+
+    for picked in hamming_split(n, lambda rows: [sep.join([texts[d] for d in ds]) for ds in rows]):
+        yield from map(sep.join, zip(*picked))
 
 
 def one_quiver_dot(n: int) -> Iterator[str]:
     """The DOT text of the character quiver on the 2**n subsets, in pieces,
     one per vertex row of arrows: |A delta B| - 1 arrows from A to B where
     |A delta B| >= 2.  Column j's arrow texts, one per distance, are made
-    once; a row picks them by the Hamming split, drops the distances below
-    2 and joins the rest with its own tail text."""
+    once; a row picks them by the distances of freeprod.hamming_split, drops
+    those below 2 and joins the rest with its own tail text."""
+    from .freeprod import hamming_split
+
     cells = [[f'v{j} [label="{d - 1}"];\n' if d >= 2 else "" for d in range(n + 1)] for j in range(1 << n)]
     width = 1 << n // 2  # the columns of one low-half block
     columns = [cells[j:j + width] for j in range(0, 1 << n, width)]
     yield "digraph one_quiver {\n"
     yield "".join(f'  v{i} [label="{label}"];\n' for i, label in enumerate(_subset_names(n)))
-    for i, dists in enumerate(_hamming_blocks(n, lambda ds: ds)):
+    for i, dists in enumerate(itertools.chain.from_iterable(zip(*p) for p in hamming_split(n, list))):
         row = itertools.chain.from_iterable(map(map, itertools.repeat(operator.getitem), columns, dists))
         yield f"  v{i} -> ".join(["", *filter(None, row)])
     yield "}\n"

@@ -73,15 +73,22 @@ def parse_subset(text: str, n: int | None = None) -> int:
     return mask
 
 
-def capped_count(low_bits: int, count: Callable[[], int], what: str) -> int:
-    """count(), refused with ValueError past MAX_COUNT_DIGITS digits.  The caller's
-    low_bits <= log2(count()), read from bit lengths, refuses a count past
+def int_text(x: int) -> str:
+    """str(x), or "a D-digit integer" past MAX_COUNT_DIGITS digits, where CPython's int-to-str conversion refuses."""
+    d = int(math.log10(abs(x) or 1))  # floor(log10 |x|), or one off it either way
+    digits = d + (abs(x) >= 10**d) + (abs(x) >= 10 ** (d + 1))
+    return str(x) if digits <= MAX_COUNT_DIGITS else f"a {digits}-digit integer"
+
+
+def capped_count(low_bits: int, count: Callable[[], int], what: str, *values: int) -> int:
+    """count(), refused past MAX_COUNT_DIGITS digits with a ValueError naming it what.format(*values).
+    The caller's low_bits <= log2(count()), read from bit lengths, refuses a count past
     2**(4 * MAX_COUNT_DIGITS) uncomputed; the rest is compared exactly."""
     if low_bits <= 4 * MAX_COUNT_DIGITS:
         value = count()
         if value < 10**MAX_COUNT_DIGITS:
             return value
-    raise ValueError(f"{what} has more than {MAX_COUNT_DIGITS} digits")
+    raise ValueError(f"{what.format(*map(int_text, values))} has more than {MAX_COUNT_DIGITS} digits")
 
 
 def multiset_coeff(k: int, n: int) -> int:
@@ -93,7 +100,7 @@ def multiset_coeff(k: int, n: int) -> int:
         return 1
     top, j = k + n - 1, min(n, k - 1)
     low_bits = j * max(1, top.bit_length() - 1 - j.bit_length()) if j > 0 else 0
-    return capped_count(low_bits, lambda: math.comb(top, n), f"the count C({top}, {n})")
+    return capped_count(low_bits, lambda: math.comb(top, n), "the count C({}, {})", top, n)
 
 
 def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:

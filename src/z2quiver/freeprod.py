@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .combinat import (
     MAX_COUNT_DIGITS,
@@ -22,6 +22,7 @@ from .combinat import (
     capped_count,
     check_ground,
     check_ints,
+    int_text,
     multiset_coeff,
     parse_subset,
     subset_str,
@@ -42,14 +43,9 @@ def build_Qn(n: int) -> Quiver:
     check_ground(n)
     if n < 2:
         raise ValueError(f"need n >= 2 vertex pairs, got {n}")
-    import numpy as np
-
     from .quiver import Quiver
 
-    arrows = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    arrows[0, 2:] = 1
-    arrows[1, 2:] = 1
-    return Quiver(arrows)
+    return Quiver([[0, 0] + [1] * (2 * n - 2)] * 2 + [[0] * (2 * n)] * (2 * n - 2))
 
 
 def component_count(n: int, m: int) -> int:
@@ -59,8 +55,8 @@ def component_count(n: int, m: int) -> int:
     n, m = check_ints((n, m), "n and m")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    what = f"the component count (m+1)**n of n={n}, m={m}"
-    return capped_count(n * ((m + 1).bit_length() - 1), lambda: (m + 1) ** n, what)
+    what = "the component count (m+1)**n of n={}, m={}"
+    return capped_count(n * ((m + 1).bit_length() - 1), lambda: (m + 1) ** n, what, n, m)
 
 
 def orbit_count(n: int, m: int) -> int:
@@ -75,19 +71,18 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     """Canonical representatives of the component orbits, sorted.
 
     The canonical form m >= a_1+ >= ... >= a_n+ >= m/2 of bn_canonicalize
-    is one multiset of n values a_i+ drawn from ceil(m/2)..m, so the
-    representatives are listed from those multisets, one per orbit.
+    is one multiset of n values a_i+ drawn from ceil(m/2)..m, one per orbit.
+    Drawn from m down, they come out in descending order, so the list is reversed.
 
     Refuses with ValueError, before building any list, an answer of more
     than MAX_ORBIT_PAIRS pairs, orbit_count(n, m) * n in all; orbit_count
     refuses a huge count before computing it."""
     n, m = check_ints((n, m), "n and m")
     if orbit_count(n, m) * n > MAX_ORBIT_PAIRS:
-        raise ValueError(f"more than {MAX_ORBIT_PAIRS} pairs in the orbit representatives of n={n}, m={m}")
-    return sorted(
-        DimVector(tuple((p, m - p) for p in plus))
-        for plus in itertools.combinations_with_replacement(range(m, (m - 1) // 2, -1), n)
-    )
+        raise ValueError(f"more than {MAX_ORBIT_PAIRS} pairs in the orbit representatives of n={int_text(n)}, m={m}")
+    pairs = [(p, m - p) for p in range(m + 1)]
+    multisets = itertools.combinations_with_replacement(range(m, (m - 1) // 2, -1), n)
+    return [_store_pairs(object.__new__(DimVector), tuple(map(pairs.__getitem__, p))) for p in multisets][::-1]
 
 
 def check_one_quiver(n: int) -> None:
@@ -98,33 +93,44 @@ def check_one_quiver(n: int) -> None:
         raise ValueError(f"the character quiver is built for n <= {MAX_ONE_QUIVER_GROUND}, got {n}")
 
 
-def _hamming_grid(n: int):
-    """|A delta B| for every pair of the 2**n characters, a uint8 ndarray
-    with the vertices ordered by bitmask, the empty set first."""
+def hamming_split(n: int, block) -> Iterator[list]:
+    """The one route to the character quiver, whose cell (i, j) depends only on popcount(i ^ j) =
+    popcount(i_hi ^ j_hi) + popcount(i_lo ^ j_lo), i_lo being the low h = n // 2 bits of i.  block(rows)
+    makes the block at high-half distance d once, from rows[i_lo][j_lo] = d + popcount(i_lo ^ j_lo).
+    Returns, for each i_hi in order, its row block as the list of its blocks over j_hi."""
+    h = n // 2
+    low = [[(a ^ b).bit_count() for b in range(1 << h)] for a in range(1 << h)]
+    blocks = [block([[d + x for x in row] for row in low]) for d in range(n - h + 1)]
+    high = range(1 << (n - h))
+    return ([blocks[(i ^ j).bit_count()] for j in high] for i in high)
+
+
+def _hamming_fill(n: int, cell):
+    """cell(popcount(i ^ j)) at (i, j), a fresh read-only int64 ndarray filled
+    one row block at a time from hamming_split: no 4**n intermediate."""
     check_one_quiver(n)
     import numpy as np
 
-    masks = np.arange(1 << n, dtype=np.uint16)
-    return np.bitwise_count(np.bitwise_xor.outer(masks, masks))
+    table, grid = np.array([cell(d) for d in range(n + 1)]), np.empty((1 << n, 1 << n), dtype=np.int64)
+    for rows, picked in zip(grid.reshape(-1, 1 << n // 2, 1 << n), hamming_split(n, table.__getitem__)):
+        np.concatenate(picked, axis=1, out=rows)
+    grid.flags.writeable = False
+    return grid
 
 
 def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
     no loops."""
-    from .quiver import Quiver
+    from .quiver import Quiver, _store_arrows
 
-    return Quiver(_hamming_grid(n).clip(1) - 1)
+    return _store_arrows(object.__new__(Quiver), _hamming_fill(n, lambda d: max(d - 1, 0)))
 
 
 def one_quiver_euler_closed(n: int):
     """Euler matrix of the character quiver, a read-only int64 ndarray, via
     the closed form 1 - |A delta B|."""
-    import numpy as np
-
-    euler = np.subtract(1, _hamming_grid(n), dtype=np.int64)
-    euler.flags.writeable = False
-    return euler
+    return _hamming_fill(n, lambda d: 1 - d)
 
 
 class CharacterMultiset(Frozen):
@@ -160,12 +166,6 @@ class CharacterMultiset(Frozen):
     def dim_vector(self) -> DimVector:
         total = self.degree()
         return _store_pairs(object.__new__(DimVector), tuple((total - minus, minus) for minus in self._minus_counts()))
-
-    def is_chain(self) -> bool:
-        masks = [a for a, _ in self.counts]
-        return all(
-            (a & b) == a or (a & b) == b for a, b in itertools.combinations(masks, 2)
-        )
 
     def canonical(self) -> "CharacterMultiset":
         """Chain normal form: the sum S_1 + ... + S_d with S_t = {i : a_i- >= t},
@@ -328,7 +328,8 @@ def iss_dim(alpha: DimVector) -> int:
     Only valid over a simple dimension vector.
     """
     if not is_simple_alpha(alpha):
-        raise ValueError(f"{alpha} is not a simple dimension vector")
+        text = ";".join(f"{int_text(p)},{int_text(q)}" for p, q in alpha.pairs)
+        raise ValueError(f"{text} is not a simple dimension vector")
     m = alpha.m
     return 2 * sum(p * q for p, q in alpha.pairs) - (m * m - 1)
 

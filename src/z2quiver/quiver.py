@@ -41,7 +41,7 @@ class Quiver:
             raise ValueError("arrow counts must be nonnegative")
         a = a.astype(np.int64)
         a.flags.writeable = False
-        self.arrows = a
+        _store_arrows(self, a)
 
     @property
     def v(self) -> int:
@@ -69,6 +69,12 @@ class Quiver:
 
     def __repr__(self) -> str:
         return f"Quiver({self.arrows.tolist()})"
+
+
+def _store_arrows(q: Quiver, arrows) -> Quiver:
+    """Set q's matrix, unchecked and uncopied: a square, nonnegative, read-only int64 ndarray no one else holds."""
+    q.arrows = arrows
+    return q
 
 
 class QuiverSetting(Frozen):

@@ -5,9 +5,10 @@ label-level search in the library replaced, kept as an independent oracle:
 set partitions of the ground set, labelled degeneration of settings, the
 (m+1)^n component enumeration, the level-2 census as records, the node
 order as the old Young-label key wrote it, the character quiver's Euler
-matrix by block doubling, a local Euler matrix from outer products, and the
-simplicity test on a support with a per-cell strong-connectivity search and
-an index-sum Euler loop.
+matrix by block doubling, its Hamming distances as one full 4^n grid, the
+chain test on a character sum, a local Euler matrix from outer products, and
+the simplicity test on a support with a per-cell strong-connectivity search
+and an index-sum Euler loop.
 """
 
 from __future__ import annotations
@@ -105,6 +106,22 @@ def one_quiver_euler_recursive(n: int) -> list[list[int]]:
         shifted = [[x - 1 for x in row] for row in m]
         m = [row + low for row, low in zip(m, shifted)] + [low + row for row, low in zip(m, shifted)]
     return m
+
+
+def hamming_grid(n: int):
+    """|A delta B| for every pair of the 2**n characters as one uint8 ndarray,
+    the vertices ordered by bitmask: a full 4**n uint16 XOR grid, then its
+    popcounts."""
+    import numpy as np
+
+    masks = np.arange(1 << n, dtype=np.uint16)
+    return np.bitwise_count(np.bitwise_xor.outer(masks, masks))
+
+
+def is_chain(c: CharacterMultiset) -> bool:
+    """Whether the support of c is totally ordered by inclusion."""
+    masks = [a for a, _ in c.counts]
+    return all(a & b in (a, b) for a, b in itertools.combinations(masks, 2))
 
 
 def local_euler_outer(s: LocalSetting):

@@ -15,6 +15,7 @@ from z2quiver.combinat import (
     DimVector,
     bn_canonicalize,
     full_mask,
+    int_text,
     multiset_coeff,
     parse_dim_vector,
     parse_subset,
@@ -45,6 +46,17 @@ def test_parse_subset_checks_n_first():
         parse_subset("{1}", 10**12)
     with pytest.raises(ValueError, match="out of range"):
         parse_subset("{5}", 4)
+
+
+@pytest.mark.parametrize("k", [1, 17, 3000, MAX_COUNT_DIGITS - 1, MAX_COUNT_DIGITS, 5000, 30103])
+def test_int_text_names_long_ints_by_digit_count(k):
+    # the digit count is read from log10, which is one off near powers of ten
+    for x in (10**k - 1, 10**k, 7 * 10**k + 3):
+        digits = len(str(x)) if k < MAX_COUNT_DIGITS else k + (x >= 10**k)
+        want = str(x) if digits <= MAX_COUNT_DIGITS else f"a {digits}-digit integer"
+        assert int_text(x) == want, (k, digits)
+        assert int_text(-x) == (f"-{want}" if digits <= MAX_COUNT_DIGITS else want)
+    assert int_text(0) == "0"
 
 
 def brute_multiset(k: int, n: int) -> int:

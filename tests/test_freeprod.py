@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import character_sum, components, one_quiver_euler_recursive, rep2_census
+from oracles import character_sum, components, hamming_grid, is_chain, one_quiver_euler_recursive, rep2_census
 
 from z2quiver import freeprod
-from z2quiver.combinat import DimVector, bn_canonicalize, full_mask, parse_dim_vector
+from z2quiver.combinat import DimVector, bn_canonicalize, full_mask, multiset_coeff, parse_dim_vector
 from z2quiver.freeprod import (
     CharacterMultiset,
     build_one_quiver,
@@ -29,7 +29,9 @@ from z2quiver.freeprod import (
     parse_characters,
     treelike_census,
 )
-from z2quiver.quiver import is_simple_dimvector
+from z2quiver.quiver import Quiver, is_simple_dimvector
+
+TOO_LONG = f" has more than {freeprod.MAX_COUNT_DIGITS} digits"
 
 # the 8x8 Euler matrix of the n=3 character quiver, vertices ordered by
 # bitmask: {}, {1}, {2}, {1,2}, {3}, {1,3}, {2,3}, {1,2,3}
@@ -97,6 +99,22 @@ class TestComponents:
                 component_count(n, m)
             assert time.monotonic() - start < 1
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ((component_count, 2, 10**5000), "the component count (m+1)**n of n=2, m=a 5001-digit integer" + TOO_LONG),
+            ((multiset_coeff, 10**5000, 3), "the count C(a 5001-digit integer, 3)" + TOO_LONG),
+            ((orbit_count, 3, 10**5000), "the count C(a 5000-digit integer, 3)" + TOO_LONG),
+            ((orbit_representatives, 10**5000, 0), "more than 1000000 pairs in the orbit representatives of n=a 5001-digit integer, m=0"),
+        ],
+        ids=["component_count", "multiset_coeff", "orbit_count", "orbit_representatives"],
+    )
+    def test_huge_argument_named_by_its_digit_count(self, call, message):
+        # each raised "Exceeds the limit (4300 digits) for integer string conversion"
+        with pytest.raises(ValueError) as err:
+            call[0](*call[1:])
+        assert str(err.value) == message
+
     def test_huge_orbit_count_refused_up_front(self):
         # ran past 10 s computing C(5 * 10**6 + 10**7, 10**7)
         start = time.monotonic()
@@ -120,6 +138,16 @@ class TestComponents:
 
     def test_orbit_example(self):
         assert orbit_count(3, 2) == 4
+
+    def test_orbits_equal_the_sorted_validated_route(self):
+        # the representatives were built through DimVector(...) and sorted
+        for n in range(1, 7):
+            for m in range(0, 9):
+                plus = itertools.combinations_with_replacement(range(m, (m - 1) // 2, -1), n)
+                want = sorted(DimVector(tuple((p, m - p) for p in ps)) for ps in plus)
+                got = orbit_representatives(n, m)
+                assert [repr(r) for r in got] == [repr(r) for r in want], (n, m)
+                assert got == want and [hash(r) for r in got] == [hash(r) for r in want]
 
     def test_orbits_in_proportion_to_output(self):
         assert len(orbit_representatives(8, 6)) == orbit_count(8, 6) == 165
@@ -182,6 +210,30 @@ class TestOneQuiver:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_recursive_equals_closed(self, n):
         assert one_quiver_euler_recursive(n) == one_quiver_euler_closed(n).tolist()
+        assert one_quiver_euler_recursive(n) == build_one_quiver(n).euler_matrix().tolist()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fill_equals_full_grid(self, n):
+        grid = hamming_grid(n).astype(np.int64)
+        assert np.array_equal(build_one_quiver(n).arrows, np.maximum(grid - 1, 0))
+        assert np.array_equal(one_quiver_euler_closed(n), 1 - grid)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_fill_is_fresh_read_only_int64(self, n):
+        first, second = build_one_quiver(n).arrows, one_quiver_euler_closed(n)
+        for a in (first, second):
+            assert a.dtype == np.int64 and a.shape == (1 << n, 1 << n)
+            with pytest.raises(ValueError):
+                a[0, 0] = 7
+        assert not np.shares_memory(first, build_one_quiver(n).arrows)
+        assert not np.shares_memory(second, one_quiver_euler_closed(n))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_checked_copy_equals_the_fill(self, n):
+        q = build_one_quiver(n)
+        copy = Quiver(q.arrows)
+        assert copy == q and hash(copy) == hash(q)
+        assert not np.shares_memory(copy.arrows, q.arrows)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_euler_form_on_character_basis(self, n):
@@ -190,8 +242,9 @@ class TestOneQuiver:
 
     @pytest.mark.parametrize("build", [build_one_quiver, one_quiver_euler_closed])
     def test_size_refused_up_front(self, build):
-        # 4**13 int64 cells would be 512 MiB; n = 16 would be 32 GiB
-        for n in (13, 16, 17, 0):
+        # 4**13 int64 cells would be 512 MiB; n = 16 would be 32 GiB.  A
+        # huge n is refused before anything is sized by it
+        for n in (13, 16, 17, 0, 10**18):
             with pytest.raises(ValueError):
                 build(n)
 
@@ -302,7 +355,7 @@ class TestCharacters:
             two = rewrite_randomly(cm, random.Random(5000 + case))
             lib = cm.canonical()
             assert one == two == lib
-            assert lib.is_chain()
+            assert is_chain(lib)
             assert lib.degree() == cm.degree()
             assert lib.dim_vector() == cm.dim_vector()
 
@@ -370,7 +423,7 @@ class TestMAlpha:
         for alpha in components(n, m):
             chars = chain_of(alpha)
             assert chars.dim_vector() == alpha
-            assert chars.is_chain()
+            assert is_chain(chars)
             c = bn_canonicalize(alpha)
             assert chain_of(c) == m_alpha_tail_sets(c)
 
@@ -400,8 +453,9 @@ class TestSimpleAlpha:
         alpha = DimVector(((10**5000, 1),) * 3)
         assert is_simple_alpha(alpha) is False
         assert is_simple_alpha_oracle(alpha) is False
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             iss_dim(alpha)
+        assert str(err.value) == ";".join(["a 5001-digit integer,1"] * 3) + " is not a simple dimension vector"
 
     def test_exception_needs_k_at_least_two(self):
         alpha = DimVector(((2, 0), (1, 1), (1, 1)))
