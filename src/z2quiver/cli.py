@@ -147,7 +147,7 @@ def _subset_names(n: int) -> list[str]:
     outside [1, MAX_GROUND] before building anything."""
     from .combinat import check_ground, subset_str
 
-    check_ground(n)
+    n = check_ground(n)
     return [subset_str(a) for a in range(1 << n)]
 
 
@@ -192,8 +192,7 @@ def cmd_one_quiver(args) -> int:
     closed form, and so are the arrows of dot."""
     from .freeprod import check_one_quiver
 
-    n = args.n
-    check_one_quiver(n)
+    n = check_one_quiver(args.n)
     out = sys.stdout
     if args.format == "matrix":
         width = len(str(1 - n))  # the widest entry: 1 - n, or 0 and 1 at n = 1
@@ -255,10 +254,8 @@ def cmd_simple(args) -> int:
     from .combinat import parse_dim_vector
     from .freeprod import simple_alpha_report
 
-    alpha = parse_dim_vector(args.alpha)
-    verdict, lines = simple_alpha_report(alpha)
-    for line in lines:
-        print(line)
+    verdict, lines = simple_alpha_report(parse_dim_vector(args.alpha))
+    print(*lines, sep="\n")
     print(f"simple: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
@@ -329,8 +326,7 @@ def cmd_treelike(args) -> int:
 def cmd_canon(args) -> int:
     from .freeprod import parse_characters
 
-    chars = parse_characters(args.chars, args.n)
-    canonical = chars.canonical()
+    canonical = parse_characters(args.chars, args.n).canonical()
     print(str(canonical))
     print(f"alpha: {canonical.dim_vector()}")
     return 0

@@ -3,8 +3,8 @@
 Ground sets are N = {1, ..., n}; a subset A of N is stored as a plain int
 bitmask with element i sitting on bit i-1.  All values here are immutable
 and all functions are pure, so everything is safe to share across threads.
-The hard cap n <= 16 exists because several callers enumerate all 2**n
-subsets as quiver vertices; memory there grows like 4**n.
+The cap n <= 16 bounds every ground set; the 4**n character-quiver
+matrices stop earlier, at freeprod.MAX_ONE_QUIVER_GROUND = 12.
 """
 
 from __future__ import annotations
@@ -23,21 +23,34 @@ MAX_COUNT_DIGITS = 4300
 MAX_PAIRS = 10_000
 
 
-def check_ground(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_GROUND:
-        raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {n!r}")
+def check_ground(n: int) -> int:
+    """n as an int in [1, MAX_GROUND]; a float or a string is refused."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {n!r}") from None
+    if not 1 <= n <= MAX_GROUND:
+        raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {int_text(n)}")
+    return n
 
 
 def check_ints(values, what: str) -> tuple[int, ...]:
-    """values as ints; a float or a string is refused, not rounded or parsed."""
+    """values as ints; a float or a string is refused, not rounded or parsed,
+    and the refusal names the first such value."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {values!r}") from None
+        bad = values  # named whole only when it is not iterable
+    try:
+        for bad in values:
+            operator.index(bad)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be integers, got {int_text(bad) if isinstance(bad, int) else repr(bad)}")
 
 
 def check_subset(a: int, n: int) -> None:
-    check_ground(n)
+    n = check_ground(n)
     if not isinstance(a, int) or a < 0 or a >> n:
         raise ValueError(f"{a!r} is not a subset mask over {{1..{n}}}")
 
@@ -55,7 +68,7 @@ def parse_subset(text: str, n: int | None = None) -> int:
     {1..MAX_GROUND} when n is None.  An element out of range is refused
     before it is shifted, so a huge one costs nothing."""
     if n is not None:
-        check_ground(n)
+        n = check_ground(n)
     top = MAX_GROUND if n is None else n
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
@@ -94,6 +107,7 @@ def capped_count(low_bits: int, count: Callable[[], int], what: str, *values: in
 def multiset_coeff(k: int, n: int) -> int:
     """Number of size-n multisets drawn from k symbols: C(k+n-1, n), capped
     with j = min(n, k-1) as C(k+n-1, j) >= max(2, (k+n-1)/j)**j."""
+    k, n = check_ints((k, n), "k and n")
     if k < 0 or n < 0:
         raise ValueError("multiset_coeff needs nonnegative arguments")
     if n == 0:

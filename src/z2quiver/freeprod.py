@@ -40,7 +40,7 @@ MAX_ONE_QUIVER_GROUND = 12
 def build_Qn(n: int) -> Quiver:
     """The 2n-vertex quiver with one arrow from each of the two level-1
     vertices (1+, 1-) to every vertex i+/- with i >= 2; 4(n-1) arrows."""
-    check_ground(n)
+    n = check_ground(n)
     if n < 2:
         raise ValueError(f"need n >= 2 vertex pairs, got {n}")
     from .quiver import Quiver
@@ -85,12 +85,13 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     return [_store_pairs(object.__new__(DimVector), tuple(map(pairs.__getitem__, p))) for p in multisets][::-1]
 
 
-def check_one_quiver(n: int) -> None:
-    """The character-quiver matrices hold 4**n int64 cells (128 MiB at
-    n = 12), so they refuse n > MAX_ONE_QUIVER_GROUND up front."""
-    check_ground(n)
+def check_one_quiver(n: int) -> int:
+    """n as an int.  The character-quiver matrices hold 4**n int64 cells
+    (128 MiB at n = 12), so they refuse n > MAX_ONE_QUIVER_GROUND up front."""
+    n = check_ground(n)
     if n > MAX_ONE_QUIVER_GROUND:
         raise ValueError(f"the character quiver is built for n <= {MAX_ONE_QUIVER_GROUND}, got {n}")
+    return n
 
 
 def hamming_split(n: int, block) -> Iterator[list]:
@@ -108,7 +109,7 @@ def hamming_split(n: int, block) -> Iterator[list]:
 def _hamming_fill(n: int, cell):
     """cell(popcount(i ^ j)) at (i, j), a fresh read-only int64 ndarray filled
     one row block at a time from hamming_split: no 4**n intermediate."""
-    check_one_quiver(n)
+    n = check_one_quiver(n)
     import numpy as np
 
     table, grid = np.array([cell(d) for d in range(n + 1)]), np.empty((1 << n, 1 << n), dtype=np.int64)
@@ -140,21 +141,19 @@ class CharacterMultiset(Frozen):
     __slots__ = _fields = ("n", "counts")
 
     def __init__(self, n: int, counts: tuple[tuple[int, int], ...]) -> None:
-        check_ground(n)
+        n = check_ground(n)
         if not counts:
             raise ValueError("character multiset must be nonempty")
-        seen = set()
-        for mask, mult in counts:
+        masks = [mask for mask, _ in counts]
+        mults = check_ints([mult for _, mult in counts], "multiplicities")
+        for mask in masks:
             if not isinstance(mask, int) or mask < 0 or mask >> n:
                 raise ValueError(f"{mask!r} is not a subset mask over {{1..{n}}}")
-            if mask in seen:
-                raise ValueError("duplicate subset in character multiset")
-            seen.add(mask)
-            if mult.__class__ is not int:  # a plain int, as parsing gives, needs no call
-                check_ints((mult,), "multiplicities")
-            if mult < 1:
-                raise ValueError("multiplicities must be >= 1")
-        _store_counts(self, n, tuple(sorted(counts)))
+        if len(set(masks)) < len(masks):
+            raise ValueError("duplicate subset in character multiset")
+        if min(mults) < 1:
+            raise ValueError("multiplicities must be >= 1")
+        _store_counts(self, n, tuple(sorted(zip(masks, mults))))
 
     def degree(self) -> int:
         return sum(c for _, c in self.counts)
@@ -257,16 +256,18 @@ def is_simple_alpha(alpha: DimVector) -> bool:
 
 def _simple_alpha_core(alpha: DimVector) -> tuple[bool, str, int, int]:
     """The closed-form verdict on alpha, formatting nothing, with the rule
-    that decided it: "m = 1", "n <= 2" (on the character quiver), "above
-    bound", "exception" or "within bound", and the sum_i max(a_i+, a_i-)
-    and m*(n-1) that the last three compared (0 and 0 for the first two)."""
+    that decided it ("m = 1", "above bound", "exception" or "within bound")
+    and the sum_i max(a_i+, a_i-) and m*(n-1) it compared (0 and 0 for m = 1).
+
+    Every n goes through the bound, as max(a_i+, a_i-) >= m/2.  At n = 1 the
+    bound is 0, so every m >= 2 is above it.  At n = 2 the bound forces both
+    pairs to be (k,k), and the exception removes k >= 2: that leaves
+    (1,1);(1,1), the 2-dimensional simples of the infinite dihedral group."""
     pairs, m, n = alpha.pairs, alpha.m, alpha.n
     if m < 1:
         raise ValueError("the zero dimension vector has no representations")
     if m == 1:
         return True, "m = 1", 0, 0
-    if n <= 2:
-        return is_simple_alpha_oracle(alpha), "n <= 2", 0, 0
     smax = sum([p if p > q else q for p, q in pairs])
     bound = m * (n - 1)
     if smax > bound:
@@ -286,12 +287,10 @@ def simple_alpha_report(alpha: DimVector) -> tuple[bool, list[str]]:
     lines = [f"alpha = {alpha}  (n={n}, m={m})"]
     if rule == "m = 1":
         lines.append("m = 1: alpha is a one-dimensional character")
-    elif rule == "n <= 2":
-        lines.append(f"n = {n} <= 2: decided directly on the character quiver")
     else:
         lines.append(f"sum_i max(a_i+, a_i-) = {smax} {'>' if rule == 'above bound' else '<='} {bound} = m*(n-1)")
         if rule == "exception":
-            lines.append(f"exception orbit (2k,0)*{n - 2};(k,k);(k,k) with k={m // 2}")
+            lines.append(f"exception orbit {f'(2k,0)*{n - 2};' if n > 2 else ''}(k,k);(k,k) with k={m // 2}")
     return verdict, lines
 
 
@@ -307,19 +306,10 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
     support alone never builds the 4**n matrix of build_one_quiver."""
     if alpha.m < 1:
         raise ValueError("the zero dimension vector has no representations")
+    from .quiver import _is_simple_support
+
     masks, beta = zip(*chain_of(alpha).counts)
-    arrows = [[((a ^ b).bit_count() or 1) - 1 for b in masks] for a in masks]
-    return _simple_support(arrows, beta)
-
-
-def _simple_support(arrows: list[list[int]], dims) -> bool:
-    """quiver._is_simple_support, imported on the first call and bound in
-    this name's place: the quiver layer loads only once a verdict needs it,
-    and later calls pay no import."""
-    global _simple_support
-    from .quiver import _is_simple_support as _simple_support
-
-    return _simple_support(arrows, dims)
+    return _is_simple_support([[((a ^ b).bit_count() or 1) - 1 for b in masks] for a in masks], beta)
 
 
 def iss_dim(alpha: DimVector) -> int:
@@ -386,7 +376,7 @@ def treelike_census(n: int) -> dict[str, int]:
         the multiplicities are 1, 2, 1.  It is fixed by v1 and the ordered
         (a, b, c), and read from either end: 2^n n(n-1)(n-2) / 2.
     """
-    check_ground(n)
+    n = check_ground(n)
     counts = {"I": 2**n}
     for k in range(1, n):
         counts[f"II({k})"] = 2 ** (n - 1) * math.comb(n, k + 1)

@@ -22,6 +22,7 @@ from .combinat import (
     check_ground,
     check_ints,
     full_mask,
+    int_text,
     multiset_coeff,
     partitions_of_int,
     subset_str,
@@ -44,10 +45,10 @@ class LocalSetting(Frozen):
     __slots__ = (*_fields, "sizes")
 
     def __init__(self, n: int, m: int, blocks: tuple[int, ...], k: tuple[int, ...]) -> None:
-        check_ground(n)
+        n = check_ground(n)
         m, *ks = check_ints((m, *k), "m and the k values")
         if not 1 <= m <= n:
-            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+            raise ValueError(f"need 1 <= m <= n, got m={int_text(m)}, n={n}")
         union = 0
         for b in blocks:  # a disjoint cover of {1..n} by nonempty subset masks
             if not isinstance(b, int) or b < 0 or b >> n:
@@ -63,14 +64,14 @@ class LocalSetting(Frozen):
             raise ValueError("one k value per block is required")
         for b, k in zip(blocks, ks):
             if not 1 <= k <= b.bit_count():
-                raise ValueError(f"k={k} out of range [1, {b.bit_count()}] for block {subset_str(b)}")
+                raise ValueError(f"k={int_text(k)} out of range [1, {b.bit_count()}] for block {subset_str(b)}")
         if sum(ks) > m:
             raise ValueError(f"sum of k = {sum(ks)} exceeds the level m = {m}")
         # the lowest bit orders blocks as their smallest element does; no two
         # blocks share it, so the blocks themselves are never compared
         order = sorted(((b.bit_count(), k, -(b & -b), b) for b, k in zip(blocks, ks)), reverse=True)
         sizes, ks, _, blocks = zip(*order)
-        _store(self, operator.index(n), m, blocks, sizes, ks)
+        _store(self, n, m, blocks, sizes, ks)
 
     @property
     def l(self) -> int:
@@ -115,11 +116,10 @@ def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tupl
 
 def _check_level(n: int, m: int) -> tuple[int, int]:
     """n and m as ints, once checked."""
-    check_ground(n)
-    n, m = check_ints((n, m), "n and m")
+    n, m = check_ints((check_ground(n), m), "n and m")
     if not 1 <= m <= n:
         raise ValueError(
-            f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={m}"
+            f"(m-1,1)^n admits simple representations only for 1 <= m <= n; got n={n}, m={int_text(m)}"
         )
     return n, m
 

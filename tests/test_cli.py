@@ -571,11 +571,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, *sorted(set(sys.modules) - before))
 """
 
-# Modules a command must not load, by subcommand: a census of characters
-# never reaches the settings or the quiver layer, and a degeneration command
-# never reaches the free-product or the quiver layer.
+# Modules a command must not load, by subcommand: no command reaches the
+# quiver layer, a command on characters or dimension vectors never reaches
+# the settings, and a degeneration command never reaches the free product.
 NOT_LOADED = {
-    **dict.fromkeys(("treelike", "components", "rep2", "one-quiver"), {"z2quiver.localquiver", "z2quiver.quiver"}),
+    **dict.fromkeys(
+        ("treelike", "components", "rep2", "one-quiver", "simple", "iss-dim", "smooth-component", "canon"),
+        {"z2quiver.localquiver", "z2quiver.quiver"},
+    ),
     **dict.fromkeys(("graph", "local"), {"z2quiver.freeprod", "z2quiver.quiver"}),
 }
 
@@ -588,7 +591,7 @@ def test_modules_loaded_per_command(argv):
     assert code == "0"
     assert {"z2quiver", "z2quiver.cli"} <= set(loaded)
     assert "dataclasses" not in loaded
-    assert not NOT_LOADED.get(argv[0], set()) & set(loaded)
+    assert not NOT_LOADED[argv[0]] & set(loaded)
     # json only where JSON is written through write_json, csv only for components --format csv
     assert ("json" in loaded) == (argv[0] in ("graph", "local") and "json" in argv)
     assert ("csv" in loaded) == (argv[0] == "components" and "csv" in argv)

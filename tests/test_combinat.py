@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from z2quiver.combinat import (
     MAX_PAIRS,
     DimVector,
     bn_canonicalize,
+    check_ground,
+    check_ints,
     full_mask,
     int_text,
     multiset_coeff,
@@ -59,12 +62,37 @@ def test_int_text_names_long_ints_by_digit_count(k):
     assert int_text(0) == "0"
 
 
+def test_check_ground_returns_the_int():
+    # a numpy n was refused, and a huge one raised CPython's int-to-str error
+    assert [type(n) for n in (check_ground(np.int64(5)), check_ground(True))] == [int, int]
+    with pytest.raises(ValueError, match=r"got 2\.0$"):
+        check_ground(2.0)
+    for n in (10**5000, -(10**5000)):
+        with pytest.raises(ValueError, match=r"in \[1, 16\], got a 5001-digit integer$"):
+            check_ground(n)
+
+
+def test_check_ints_names_the_first_non_integer():
+    # the whole tuple was named, so a huge int beside the float raised CPython's int-to-str error
+    assert check_ints((1, np.int64(2)), "n and m") == (1, 2)
+    with pytest.raises(ValueError, match=r"^n and m must be integers, got 2\.0$"):
+        check_ints((10**5000, 2.0, "3"), "n and m")
+    with pytest.raises(ValueError, match=r"^sizes must be integers, got a 5001-digit integer$"):
+        check_ints(10**5000, "sizes")
+
+
 def brute_multiset(k: int, n: int) -> int:
     # independent oracle: count weakly decreasing n-tuples over {1..k}
     return sum(1 for _ in itertools.combinations_with_replacement(range(k), n))
 
 
 class TestMultisetCoeff:
+    @pytest.mark.parametrize("k, n", [(2.0, 3), ("a", 1), (3, 2.5)])
+    def test_non_integers_refused(self, k, n):
+        # a float k raised AttributeError, a string TypeError
+        with pytest.raises(ValueError, match="k and n must be integers"):
+            multiset_coeff(k, n)
+
     def test_two_choose_three(self):
         assert brute_multiset(2, 3) == 4
         assert multiset_coeff(2, 3) == 4

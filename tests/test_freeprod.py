@@ -27,6 +27,7 @@ from z2quiver.freeprod import (
     orbit_count,
     orbit_representatives,
     parse_characters,
+    simple_alpha_report,
     treelike_census,
 )
 from z2quiver.quiver import Quiver, is_simple_dimvector
@@ -385,6 +386,17 @@ class TestCharacters:
             CharacterMultiset(3, ((1, 2.5),))
         assert CharacterMultiset(3, ((1, np.int64(2)),)).degree() == 2
 
+    def test_numpy_multiplicities_stored_as_ints(self):
+        # the numpy values were stored as given: degree() wrapped to -2**63
+        # and canonical() read {1,2}, yet the sum compared equal to the int one
+        big = 2**62
+        c = CharacterMultiset(2, ((1, np.int64(big)), (2, np.int64(big))))
+        assert all(type(mult) is int for _, mult in c.counts)
+        assert c == CharacterMultiset(2, ((1, big), (2, big)))
+        assert c.degree() == 2**63
+        assert c.canonical() == parse_characters(f"{{}}^{big}+{{1,2}}^{big}", 2)
+        assert c.dim_vector() == DimVector(((big, big), (big, big)))
+
     @pytest.mark.parametrize("text", ["{1}^0+{2}", "{1}^00", "{2}+{1}^0"])
     def test_parse_zero_multiplicity_rejected(self, text):
         with pytest.raises(ValueError):
@@ -484,6 +496,34 @@ class TestSimpleAlpha:
         assert is_simple_alpha(DimVector(((0, 1),)))
         assert not is_simple_alpha(DimVector(((1, 1),)))
         assert not is_simple_alpha(DimVector(((2, 0),)))
+
+    def test_closed_form_decides_n_le_2(self, monkeypatch):
+        # n <= 2 was answered by the oracle; the bound and the exception decide it
+        cases = [alpha for n in (1, 2) for m in range(1, 41) for alpha in components(n, m)]
+        want = [is_simple_alpha_oracle(alpha) for alpha in cases]
+        assert len(cases) == 24680 and sum(want) == 7  # the 6 characters and (1,1);(1,1)
+        monkeypatch.setattr(freeprod, "is_simple_alpha_oracle", None)
+        assert [is_simple_alpha(alpha) for alpha in cases] == want
+
+    @pytest.mark.parametrize(
+        "text, verdict, rule",
+        [
+            ("3,0", False, "sum_i max(a_i+, a_i-) = 3 > 0 = m*(n-1)"),
+            ("1,1;1,1", True, "sum_i max(a_i+, a_i-) = 2 <= 2 = m*(n-1)"),
+            ("2,0;1,1", False, "sum_i max(a_i+, a_i-) = 3 > 2 = m*(n-1)"),
+        ],
+    )
+    def test_report_at_n_le_2_prints_the_inequality(self, text, verdict, rule):
+        alpha = parse_dim_vector(text)
+        assert simple_alpha_report(alpha) == (verdict, [f"alpha = {text}  (n={alpha.n}, m={alpha.m})", rule])
+
+    def test_report_names_the_two_pair_exception(self):
+        # the exception orbit at n = 2 has no (2k,0) pairs to repeat
+        verdict, lines = simple_alpha_report(parse_dim_vector("3,3;3,3"))
+        assert not verdict
+        assert lines[1:] == ["sum_i max(a_i+, a_i-) = 6 <= 6 = m*(n-1)", "exception orbit (k,k);(k,k) with k=3"]
+        _, lines = simple_alpha_report(parse_dim_vector("6,0;3,3;3,3"))
+        assert lines[-1] == "exception orbit (2k,0)*1;(k,k);(k,k) with k=3"
 
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("m", range(1, 5))
