@@ -270,11 +270,10 @@ def cmd_iss_dim(args) -> int:
 
 def cmd_smooth_component(args) -> int:
     from .combinat import parse_dim_vector
-    from .freeprod import is_iss_smooth
+    from .freeprod import _smooth_core
 
     alpha = parse_dim_vector(args.alpha)
-    verdict = is_iss_smooth(alpha)
-    mixed = sum(1 for p, q in alpha.pairs if p and q)
+    verdict, mixed = _smooth_core(alpha)
     print(f"alpha = {alpha}: {mixed} mixed pair(s) after flips (smooth needs <= 2)")
     print(f"smooth: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1

@@ -9,6 +9,7 @@ matrices stop earlier, at freeprod.MAX_ONE_QUIVER_GROUND = 12.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, Iterator
@@ -28,7 +29,7 @@ def check_ground(n: int) -> int:
     try:
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {n!r}") from None
+        raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {int_text(n)}") from None
     if not 1 <= n <= MAX_GROUND:
         raise ValueError(f"ground-set size must be an integer in [1, {MAX_GROUND}], got {int_text(n)}")
     return n
@@ -46,13 +47,19 @@ def check_ints(values, what: str) -> tuple[int, ...]:
             operator.index(bad)
     except TypeError:
         pass
-    raise ValueError(f"{what} must be integers, got {int_text(bad) if isinstance(bad, int) else repr(bad)}")
+    raise ValueError(f"{what} must be integers, got {int_text(bad)}")
 
 
-def check_subset(a: int, n: int) -> None:
+def check_subset(a: int, n: int) -> int:
+    """a as an int bitmask over {1..n}, n checked by check_ground; a float or a string is refused."""
     n = check_ground(n)
-    if not isinstance(a, int) or a < 0 or a >> n:
-        raise ValueError(f"{a!r} is not a subset mask over {{1..{n}}}")
+    try:
+        mask = operator.index(a)
+    except TypeError:
+        raise ValueError(f"{int_text(a)} is not a subset mask over {{1..{n}}}") from None
+    if mask < 0 or mask >> n:
+        raise ValueError(f"{int_text(mask)} is not a subset mask over {{1..{n}}}")
+    return mask
 
 
 def full_mask(n: int) -> int:
@@ -60,6 +67,8 @@ def full_mask(n: int) -> int:
 
 
 def subset_str(a: int) -> str:
+    """'{1,3}' for the mask of {1,3}, a subset of {1..MAX_GROUND}."""
+    a = check_subset(a, MAX_GROUND)
     return "{" + ",".join(str(i + 1) for i in range(a.bit_length()) if a >> i & 1) + "}"
 
 
@@ -86,20 +95,30 @@ def parse_subset(text: str, n: int | None = None) -> int:
     return mask
 
 
-def int_text(x: int) -> str:
-    """str(x), or "a D-digit integer" past MAX_COUNT_DIGITS digits, where CPython's int-to-str conversion refuses."""
-    d = int(math.log10(abs(x) or 1))  # floor(log10 |x|), or one off it either way
+def int_text(x) -> str:
+    """str(x) for an int, or "a D-digit integer" ("a negative D-digit integer") past MAX_COUNT_DIGITS
+    digits, where CPython's int-to-str conversion refuses; item by item for a tuple or a list, and
+    repr(x) for anything else.  Refusals name the caller's values through it."""
+    if not isinstance(x, int):
+        if not isinstance(x, (tuple, list)):
+            return repr(x)
+        items = ", ".join(map(int_text, x)) + ("," if len(x) == 1 and isinstance(x, tuple) else "")
+        return f"({items})" if isinstance(x, tuple) else f"[{items}]"
+    if x.bit_length() <= 3 * MAX_COUNT_DIGITS:  # |x| < 8**MAX_COUNT_DIGITS: it prints
+        return str(x)
+    d = int(math.log10(abs(x)))  # floor(log10 |x|), or one off it either way
     digits = d + (abs(x) >= 10**d) + (abs(x) >= 10 ** (d + 1))
-    return str(x) if digits <= MAX_COUNT_DIGITS else f"a {digits}-digit integer"
+    return str(x) if digits <= MAX_COUNT_DIGITS else f"a {'negative ' * (x < 0)}{digits}-digit integer"
 
 
 def capped_count(low_bits: int, count: Callable[[], int], what: str, *values: int) -> int:
     """count(), refused past MAX_COUNT_DIGITS digits with a ValueError naming it what.format(*values).
     The caller's low_bits <= log2(count()), read from bit lengths, refuses a count past
-    2**(4 * MAX_COUNT_DIGITS) uncomputed; the rest is compared exactly."""
+    2**(4 * MAX_COUNT_DIGITS) uncomputed; a count below 2**(3 * MAX_COUNT_DIGITS) passes on its
+    bit length, and only the rest is compared with 10**MAX_COUNT_DIGITS."""
     if low_bits <= 4 * MAX_COUNT_DIGITS:
         value = count()
-        if value < 10**MAX_COUNT_DIGITS:
+        if value.bit_length() <= 3 * MAX_COUNT_DIGITS or value < 10**MAX_COUNT_DIGITS:
             return value
     raise ValueError(f"{what.format(*map(int_text, values))} has more than {MAX_COUNT_DIGITS} digits")
 
@@ -137,9 +156,10 @@ def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
 class Frozen:
     """Base of the immutable value classes.  A subclass names the fields
     that make up its value in _fields and lists them, with any other
-    attribute, in __slots__.  Its __init__ sets each of them, and _value to
-    the tuple of the _fields, with object.__setattr__.  Equality holds only
-    within one class, the hash is hash() of that tuple, the repr reads
+    attribute, in __slots__.  Its __init__ checks the caller's values and
+    stores them with _set; the library stores values it has already checked
+    with object.__new__(cls)._set(...).  Equality holds only within one class,
+    the hash is hash() of the tuple of the _fields, the repr reads
     Name(field=value, ...) and assigning or deleting an attribute raises
     AttributeError."""
 
@@ -159,6 +179,13 @@ class Frozen:
     def __reduce__(self):
         return type(self), self._value
 
+    def _set(self, *values):
+        """Set the _fields to values, unchecked, and _value to their tuple; return self."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_value", values)
+        return self
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -166,6 +193,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@functools.total_ordering
 class DimVector(Frozen):
     """Dimension vector (a_i+, a_i-) for i = 1..n with constant pair sum m,
     ordered by its pairs."""
@@ -173,31 +201,26 @@ class DimVector(Frozen):
     __slots__ = _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Lists, bools and numpy ints are stored as the tuples of plain ints they stand for."""
+        pairs = tuple(pairs)
         if not pairs:
             raise ValueError("dimension vector needs at least one pair")
-        sums = set()
+        plain, sums = True, set()
         for p in pairs:
-            if len(p) != 2:
-                raise ValueError(f"bad pair {p!r}: need two nonnegative integers")
-            a, b = p
-            if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
-                raise ValueError(f"bad pair {p!r}: need two nonnegative integers")
+            try:
+                a, b = p
+                if type(a) is not int or type(b) is not int or type(p) is not tuple:
+                    a, b, plain = operator.index(a), operator.index(b), False
+            except (TypeError, ValueError):
+                a = b = -1
+            if a < 0 or b < 0:
+                raise ValueError(f"bad pair {int_text(p)}: need two nonnegative integers")
             sums.add(a + b)
-        if len(sums) != 1:
-            raise ValueError(f"pair sums must be constant, got sums {sorted(sums)}")
-        _store_pairs(self, pairs)
+        _check_sums(sums)
+        self._set(pairs if plain else tuple((operator.index(a), operator.index(b)) for a, b in pairs))
 
     def __lt__(self, other):
         return self.pairs < other.pairs if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.pairs <= other.pairs if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.pairs > other.pairs if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.pairs >= other.pairs if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:
@@ -212,26 +235,29 @@ class DimVector(Frozen):
     def standard(cls, n: int, m: int) -> "DimVector":
         """(m-1, 1) at every index; the component of the standard rank-n
         simple representation of the symmetric group quotient when m = n."""
+        n, m = check_ints((n, m), "n and m")
         if m < 1:
             raise ValueError("level m must be >= 1")
-        return cls(((m - 1, 1),) * n)
+        if not 1 <= n <= MAX_PAIRS:
+            raise ValueError(f"need 1 <= n <= {MAX_PAIRS} pairs, got n={int_text(n)}")
+        return object.__new__(cls)._set(((m - 1, 1),) * n)
 
     @classmethod
     def character(cls, n: int, a: int) -> "DimVector":
         """Generator of level 1: (0,1) on the subset A, (1,0) elsewhere."""
-        check_subset(a, n)
-        return cls(tuple((0, 1) if a >> i & 1 else (1, 0) for i in range(n)))
+        a = check_subset(a, n)
+        return object.__new__(cls)._set(tuple((0, 1) if a >> i & 1 else (1, 0) for i in range(n)))
 
     def __str__(self) -> str:
-        return ";".join(f"{p},{q}" for p, q in self.pairs)
+        if self.m.bit_length() <= 3 * MAX_COUNT_DIGITS:  # every entry is at most m, and prints
+            return ";".join(f"{p},{q}" for p, q in self.pairs)
+        return ";".join(f"{int_text(p)},{int_text(q)}" for p, q in self.pairs)
 
 
-def _store_pairs(v: DimVector, pairs: tuple[tuple[int, int], ...]) -> DimVector:
-    """Set v's fields to pairs, unchecked: the caller has checked them."""
-    init = object.__setattr__
-    init(v, "pairs", pairs)
-    init(v, "_value", (pairs,))
-    return v
+def _check_sums(sums: set[int]) -> None:
+    """Refuse a dimension vector whose set of pair sums, sums, holds more than one value."""
+    if len(sums) != 1:
+        raise ValueError(f"pair sums must be constant, got sums {int_text(sorted(sums))}")
 
 
 # The fullmatch methods of the 'a,b' and '(a,b)*r' segment patterns.  The
@@ -269,11 +295,9 @@ def parse_dim_vector(text: str) -> DimVector:
         if len(pairs) + r > MAX_PAIRS:
             raise ValueError(f"pair {idx}: {seg!r} takes the dimension vector past {MAX_PAIRS} pairs")
         pairs.extend([(p, q)] * r)
-    sums = {p + q for p, q in pairs}
-    if len(sums) != 1:
-        raise ValueError(f"pair sums must be constant, got sums {sorted(sums)}")
+    _check_sums({p + q for p, q in pairs})
     # every pair is two nonnegative ints, as the patterns match only digits
-    return _store_pairs(object.__new__(DimVector), tuple(pairs))
+    return object.__new__(DimVector)._set(tuple(pairs))
 
 
 def bn_canonicalize(v: DimVector) -> DimVector:
@@ -287,4 +311,4 @@ def bn_canonicalize(v: DimVector) -> DimVector:
     m >= a_1+ >= ... >= a_n+ >= m/2.  Idempotent.
     """
     pairs = sorted([(p, q) if p >= q else (q, p) for p, q in v.pairs], reverse=True)
-    return _store_pairs(object.__new__(DimVector), tuple(pairs))
+    return object.__new__(DimVector)._set(tuple(pairs))

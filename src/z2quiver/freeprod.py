@@ -18,10 +18,10 @@ from .combinat import (
     MAX_COUNT_DIGITS,
     DimVector,
     Frozen,
-    _store_pairs,
     capped_count,
     check_ground,
     check_ints,
+    check_subset,
     int_text,
     multiset_coeff,
     parse_subset,
@@ -48,22 +48,26 @@ def build_Qn(n: int) -> Quiver:
     return Quiver([[0, 0] + [1] * (2 * n - 2)] * 2 + [[0] * (2 * n)] * (2 * n - 2))
 
 
+def _check_census(n: int, m: int) -> tuple[int, int]:
+    """n and m as ints, refused unless n >= 1 and m >= 0."""
+    n, m = check_ints((n, m), "n and m")
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    return n, m
+
+
 def component_count(n: int, m: int) -> int:
     """(m+1)**n, capped past MAX_COUNT_DIGITS digits with (m+1)**n >=
     2**(n*(b-1)) for b = (m+1).bit_length(): the rest have at most about
     2.4 * MAX_COUNT_DIGITS digits."""
-    n, m = check_ints((n, m), "n and m")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    n, m = _check_census(n, m)
     what = "the component count (m+1)**n of n={}, m={}"
     return capped_count(n * ((m + 1).bit_length() - 1), lambda: (m + 1) ** n, what, n, m)
 
 
 def orbit_count(n: int, m: int) -> int:
     """Components up to signed pair permutations: C(floor(m/2)+n, n), capped by multiset_coeff."""
-    n, m = check_ints((n, m), "n and m")
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    n, m = _check_census(n, m)
     return multiset_coeff(m // 2 + 1, n)
 
 
@@ -77,12 +81,12 @@ def orbit_representatives(n: int, m: int) -> list[DimVector]:
     Refuses with ValueError, before building any list, an answer of more
     than MAX_ORBIT_PAIRS pairs, orbit_count(n, m) * n in all; orbit_count
     refuses a huge count before computing it."""
-    n, m = check_ints((n, m), "n and m")
+    n, m = _check_census(n, m)
     if orbit_count(n, m) * n > MAX_ORBIT_PAIRS:
         raise ValueError(f"more than {MAX_ORBIT_PAIRS} pairs in the orbit representatives of n={int_text(n)}, m={m}")
     pairs = [(p, m - p) for p in range(m + 1)]
     multisets = itertools.combinations_with_replacement(range(m, (m - 1) // 2, -1), n)
-    return [_store_pairs(object.__new__(DimVector), tuple(map(pairs.__getitem__, p))) for p in multisets][::-1]
+    return [object.__new__(DimVector)._set(tuple(map(pairs.__getitem__, p))) for p in multisets][::-1]
 
 
 def check_one_quiver(n: int) -> int:
@@ -144,16 +148,13 @@ class CharacterMultiset(Frozen):
         n = check_ground(n)
         if not counts:
             raise ValueError("character multiset must be nonempty")
-        masks = [mask for mask, _ in counts]
         mults = check_ints([mult for _, mult in counts], "multiplicities")
-        for mask in masks:
-            if not isinstance(mask, int) or mask < 0 or mask >> n:
-                raise ValueError(f"{mask!r} is not a subset mask over {{1..{n}}}")
+        masks = [check_subset(mask, n) for mask, _ in counts]
         if len(set(masks)) < len(masks):
             raise ValueError("duplicate subset in character multiset")
         if min(mults) < 1:
             raise ValueError("multiplicities must be >= 1")
-        _store_counts(self, n, tuple(sorted(zip(masks, mults))))
+        self._set(n, tuple(sorted(zip(masks, mults))))
 
     def degree(self) -> int:
         return sum(c for _, c in self.counts)
@@ -164,7 +165,7 @@ class CharacterMultiset(Frozen):
 
     def dim_vector(self) -> DimVector:
         total = self.degree()
-        return _store_pairs(object.__new__(DimVector), tuple((total - minus, minus) for minus in self._minus_counts()))
+        return object.__new__(DimVector)._set(tuple((total - minus, minus) for minus in self._minus_counts()))
 
     def canonical(self) -> "CharacterMultiset":
         """Chain normal form: the sum S_1 + ... + S_d with S_t = {i : a_i- >= t},
@@ -185,17 +186,9 @@ class CharacterMultiset(Frozen):
         return "+".join(terms)
 
 
-def _store_counts(c: CharacterMultiset, n: int, counts: tuple[tuple[int, int], ...]) -> CharacterMultiset:
-    """Set c's fields, unchecked: counts sorted, masks distinct, counts >= 1."""
-    init = object.__setattr__
-    init(c, "n", n)
-    init(c, "counts", counts)
-    init(c, "_value", (n, counts))
-    return c
-
-
 def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
     """Parse '{1}+{2}' or '{}^2+{1,2,3}'; n defaults to the largest element."""
+    n = n if n is None else check_ground(n)
     counts: dict[int, int] = {}
     top = 0
     for term in text.split("+"):
@@ -216,7 +209,7 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
             raise ValueError("cannot infer the ground-set size; pass n explicitly")
         n = top
     # parse_subset checked each mask against n, and each multiplicity is >= 1
-    return _store_counts(object.__new__(CharacterMultiset), n, tuple(sorted(counts.items())))
+    return object.__new__(CharacterMultiset)._set(n, tuple(sorted(counts.items())))
 
 
 def _chain(n: int, minus: list[int], degree: int) -> CharacterMultiset:
@@ -232,7 +225,7 @@ def _chain(n: int, minus: list[int], degree: int) -> CharacterMultiset:
             top = value
         mask |= 1 << i
     counts.append((mask, top))
-    return _store_counts(object.__new__(CharacterMultiset), n, tuple(counts))
+    return object.__new__(CharacterMultiset)._set(n, tuple(counts))
 
 
 def chain_of(alpha: DimVector) -> CharacterMultiset:
@@ -244,9 +237,14 @@ def chain_of(alpha: DimVector) -> CharacterMultiset:
     For a canonical alpha it is the canonical semisimple point M_alpha:
     the empty character a_n+ times, the tail sets {i+1..n} with
     multiplicity a_i+ - a_{i+1}+, and the full set a_1- times."""
+    return _chain(alpha.n, [minus for _, minus in alpha.pairs], _level(alpha))
+
+
+def _level(alpha: DimVector) -> int:
+    """alpha.m, refused when it is 0."""
     if alpha.m < 1:
-        raise ValueError("level must be >= 1")
-    return _chain(alpha.n, [minus for _, minus in alpha.pairs], alpha.m)
+        raise ValueError("the zero dimension vector has no representations")
+    return alpha.m
 
 
 def is_simple_alpha(alpha: DimVector) -> bool:
@@ -263,9 +261,7 @@ def _simple_alpha_core(alpha: DimVector) -> tuple[bool, str, int, int]:
     bound is 0, so every m >= 2 is above it.  At n = 2 the bound forces both
     pairs to be (k,k), and the exception removes k >= 2: that leaves
     (1,1);(1,1), the 2-dimensional simples of the infinite dihedral group."""
-    pairs, m, n = alpha.pairs, alpha.m, alpha.n
-    if m < 1:
-        raise ValueError("the zero dimension vector has no representations")
+    pairs, m, n = alpha.pairs, _level(alpha), alpha.n
     if m == 1:
         return True, "m = 1", 0, 0
     smax = sum([p if p > q else q for p, q in pairs])
@@ -274,7 +270,7 @@ def _simple_alpha_core(alpha: DimVector) -> tuple[bool, str, int, int]:
         return False, "above bound", smax, bound
     # the exception orbit (2k,0)*(n-2);(k,k);(k,k): mixed only at its two (k,k)
     k = m // 2
-    if m > 2 and m % 2 == 0 and pairs.count((k, k)) == 2 and sum([1 for p, q in pairs if p and q]) == 2:
+    if m > 2 and m % 2 == 0 and pairs.count((k, k)) == 2 and _smooth_core(alpha)[1] == 2:
         return False, "exception", smax, bound
     return True, "within bound", smax, bound
 
@@ -284,13 +280,14 @@ def simple_alpha_report(alpha: DimVector) -> tuple[bool, list[str]]:
     _simple_alpha_core."""
     verdict, rule, smax, bound = _simple_alpha_core(alpha)
     n, m = alpha.n, alpha.m
-    lines = [f"alpha = {alpha}  (n={n}, m={m})"]
+    lines = [f"alpha = {alpha}  (n={n}, m={int_text(m)})"]
     if rule == "m = 1":
         lines.append("m = 1: alpha is a one-dimensional character")
     else:
-        lines.append(f"sum_i max(a_i+, a_i-) = {smax} {'>' if rule == 'above bound' else '<='} {bound} = m*(n-1)")
+        relation = ">" if rule == "above bound" else "<="
+        lines.append(f"sum_i max(a_i+, a_i-) = {int_text(smax)} {relation} {int_text(bound)} = m*(n-1)")
         if rule == "exception":
-            lines.append(f"exception orbit {f'(2k,0)*{n - 2};' if n > 2 else ''}(k,k);(k,k) with k={m // 2}")
+            lines.append(f"exception orbit {f'(2k,0)*{n - 2};' if n > 2 else ''}(k,k);(k,k) with k={int_text(m // 2)}")
     return verdict, lines
 
 
@@ -304,8 +301,6 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
     character quiver on its support; the component has simples exactly
     when that setting has a simple dimension vector.  Working on the
     support alone never builds the 4**n matrix of build_one_quiver."""
-    if alpha.m < 1:
-        raise ValueError("the zero dimension vector has no representations")
     from .quiver import _is_simple_support
 
     masks, beta = zip(*chain_of(alpha).counts)
@@ -318,8 +313,7 @@ def iss_dim(alpha: DimVector) -> int:
     Only valid over a simple dimension vector.
     """
     if not is_simple_alpha(alpha):
-        text = ";".join(f"{int_text(p)},{int_text(q)}" for p, q in alpha.pairs)
-        raise ValueError(f"{text} is not a simple dimension vector")
+        raise ValueError(f"{alpha} is not a simple dimension vector")
     m = alpha.m
     return 2 * sum(p * q for p, q in alpha.pairs) - (m * m - 1)
 
@@ -328,8 +322,13 @@ def is_iss_smooth(alpha: DimVector) -> bool:
     """Whether the component's moduli space is smooth: true exactly when at
     most two pairs remain mixed after flipping each pair to (max, min),
     i.e. alpha is a signed permutation of (a,b;c,d;m,0;...;m,0)."""
-    mixed = sum(1 for p, q in alpha.pairs if p and q)
-    return mixed <= 2
+    return _smooth_core(alpha)[0]
+
+
+def _smooth_core(alpha: DimVector) -> tuple[bool, int]:
+    """The smoothness verdict on alpha and the number of its mixed pairs, both entries nonzero."""
+    mixed = sum([1 for p, q in alpha.pairs if p and q])
+    return mixed <= 2, mixed
 
 
 def rep2_values(k: int) -> tuple[int, int, int, str | None]:

@@ -21,6 +21,7 @@ from .combinat import (
     capped_count,
     check_ground,
     check_ints,
+    check_subset,
     full_mask,
     int_text,
     multiset_coeff,
@@ -49,10 +50,9 @@ class LocalSetting(Frozen):
         m, *ks = check_ints((m, *k), "m and the k values")
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={int_text(m)}, n={n}")
+        blocks = [check_subset(b, n) for b in blocks]
         union = 0
         for b in blocks:  # a disjoint cover of {1..n} by nonempty subset masks
-            if not isinstance(b, int) or b < 0 or b >> n:
-                raise ValueError(f"{b!r} is not a subset mask over {{1..{n}}}")
             if b == 0:
                 raise ValueError("blocks must be nonempty")
             if b & union:
@@ -104,7 +104,7 @@ def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tupl
     split of a checked block."""
     if not (sum(sizes) == n and sum(ks) <= m <= n and min(ks) >= 1 and all(map(operator.le, ks, sizes))):
         raise ValueError(f"not a setting label for n={n}, m={m}: sizes {sizes}, k {ks}")
-    init = object.__setattr__
+    init = object.__setattr__  # set directly, not through _set: the moves and slices store many settings
     init(s, "n", n)
     init(s, "m", m)
     init(s, "blocks", blocks)
@@ -180,7 +180,7 @@ def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
     for row in rows:
         lam, mu = check_ints(row, "Young diagram rows")
         if lam < 1 or mu < 1 or (prev is not None and lam >= prev):
-            raise ValueError(f"not a valid Young diagram description: {rows}")
+            raise ValueError(f"not a valid Young diagram description: {int_text(rows)}")
         prev = lam
         count = capped_count(0, lambda: count * multiset_coeff(lam, mu), "the settings count")
     return count
@@ -217,22 +217,10 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     dimension m - sum(k) joined to block i by |A_i|-k_i arrows each way.
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
-    rows, dims = local_quiver_rows(s)
-    return _quiver_setting(rows, dims)
-
-
-def _quiver_setting(rows: list[list[int]], dims: tuple[int, ...]) -> QuiverSetting:
-    """QuiverSetting(Quiver(rows), dims).  The quiver layer is imported on
-    the first call, which binds in this name's place a function of the
-    imported classes, so later calls pay no import and the commands that
-    build no quiver never load it."""
-    global _quiver_setting
     from .quiver import Quiver, QuiverSetting
 
-    def _quiver_setting(rows: list[list[int]], dims: tuple[int, ...]) -> QuiverSetting:
-        return QuiverSetting(Quiver(rows), dims)
-
-    return _quiver_setting(rows, dims)
+    rows, dims = local_quiver_rows(s)  # dims: a tuple of nonnegative ints, one per vertex
+    return object.__new__(QuiverSetting)._set(Quiver(rows), dims)
 
 
 def local_euler_matrix(s: LocalSetting):
@@ -349,19 +337,13 @@ class DegenerationGraph(Frozen):
     __slots__ = _fields = ("n", "m", "nodes", "edges")
 
     def __init__(self, n: int, m: int, nodes: tuple[LocalSetting, ...], edges: tuple[tuple[int, int], ...]) -> None:
-        n, m = operator.index(n), operator.index(m)
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "m", m)
-        init(self, "nodes", nodes)
-        init(self, "edges", edges)
-        init(self, "_value", (n, m, nodes, edges))
+        self._set(*_check_level(n, m), nodes, edges)
 
 
 def _graph(n: int, m: int, labels: list[Label], splits: bool) -> DegenerationGraph:
-    """The graph on the settings of the labels, given in node order, with an
-    edge to the target of each move, its label re-sorted; every target of a
-    move is a label of the list."""
+    """The graph at a checked level on the settings of the labels, given in
+    node order, with an edge to the target of each move, its label re-sorted;
+    every target of a move is a label of the list."""
     index = {label: i for i, label in enumerate(labels)}
     edges = [
         (i, index[tuple(sorted(label[:j] + parts + label[j + 1 :], reverse=True))])
@@ -369,7 +351,7 @@ def _graph(n: int, m: int, labels: list[Label], splits: bool) -> DegenerationGra
         for j, parts in _moves(label, splits)
     ]
     nodes = tuple(_setting(n, m, label) for label in labels)
-    return DegenerationGraph(n, m, nodes, tuple(sorted(edges)))
+    return object.__new__(DegenerationGraph)._set(n, m, nodes, tuple(sorted(edges)))
 
 
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:
@@ -387,7 +369,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
     n, m = _check_level(n, m)
     shape = tuple(sorted(check_ints(sizes, "diagram sizes"), reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
-        raise ValueError(f"{sizes} is not a diagram of {n}")
+        raise ValueError(f"{int_text(sizes)} is not a diagram of {n}")
     return _graph(n, m, sorted(_diagram_labels(m, shape), key=_label_key, reverse=True), False)
 
 

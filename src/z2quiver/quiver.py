@@ -83,22 +83,16 @@ class QuiverSetting(Frozen):
     __slots__ = _fields = ("quiver", "dims")
 
     def __init__(self, quiver: Quiver, dims: tuple[int, ...]) -> None:
-        if len(dims) != quiver.v:
-            raise ValueError("dims length must equal the vertex count")
-        if any(not isinstance(d, int) or d < 0 for d in dims):
-            raise ValueError("dims must be nonnegative integers")
-        init = object.__setattr__
-        init(self, "quiver", quiver)
-        init(self, "dims", dims)
-        init(self, "_value", (quiver, dims))
+        self._set(quiver, _check_dims(quiver, dims))
 
 
 def _check_dims(q: Quiver, dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, one nonnegative integer per vertex of q."""
     d = check_ints(dims, "vertex dimensions")
     if len(d) != q.v:
         raise ValueError(f"expected {q.v} vertex dimensions, got {len(d)}")
-    if any(x < 0 for x in d):
-        raise ValueError("vertex dimensions must be nonnegative")
+    if d and min(d) < 0:
+        raise ValueError("vertex dimensions must be nonnegative integers")
     return d
 
 

@@ -58,8 +58,10 @@ def test_int_text_names_long_ints_by_digit_count(k):
         digits = len(str(x)) if k < MAX_COUNT_DIGITS else k + (x >= 10**k)
         want = str(x) if digits <= MAX_COUNT_DIGITS else f"a {digits}-digit integer"
         assert int_text(x) == want, (k, digits)
-        assert int_text(-x) == (f"-{want}" if digits <= MAX_COUNT_DIGITS else want)
+        assert int_text(-x) == (f"-{want}" if digits <= MAX_COUNT_DIGITS else f"a negative {digits}-digit integer")
     assert int_text(0) == "0"
+    # the sign of a huge negative was dropped
+    assert int_text(-(10**5000)) == "a negative 5001-digit integer"
 
 
 def test_check_ground_returns_the_int():
@@ -67,8 +69,8 @@ def test_check_ground_returns_the_int():
     assert [type(n) for n in (check_ground(np.int64(5)), check_ground(True))] == [int, int]
     with pytest.raises(ValueError, match=r"got 2\.0$"):
         check_ground(2.0)
-    for n in (10**5000, -(10**5000)):
-        with pytest.raises(ValueError, match=r"in \[1, 16\], got a 5001-digit integer$"):
+    for n, text in ((10**5000, "a"), (-(10**5000), "a negative")):
+        with pytest.raises(ValueError, match=rf"in \[1, 16\], got {text} 5001-digit integer$"):
             check_ground(n)
 
 

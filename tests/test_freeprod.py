@@ -250,8 +250,8 @@ class TestOneQuiver:
                 build(n)
 
     def test_build_peak_near_the_matrix(self):
-        # the distances are a uint8 grid and Quiver's copy is the only int64
-        # allocation, so building the 8 MiB matrix at n = 10 peaks near its
+        # the matrix is one int64 array filled block by block and stored
+        # uncopied, so building the 8 MiB matrix at n = 10 peaks near its
         # own size, not twice it
         tracemalloc.start()
         try:
