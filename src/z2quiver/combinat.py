@@ -79,6 +79,8 @@ def parse_subset(text: str, n: int | None = None) -> int:
     if n is not None:
         n = check_ground(n)
     top = MAX_GROUND if n is None else n
+    if len(text) > MAX_COUNT_DIGITS:
+        check_digit_runs(text)
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
         raise ValueError(f"subset must look like '{{1,3}}', got {text!r}")
@@ -93,6 +95,17 @@ def parse_subset(text: str, n: int | None = None) -> int:
                 raise ValueError(f"element {i} out of range in {text!r}")
             mask |= 1 << (i - 1)
     return mask
+
+
+def check_digit_runs(text: str) -> None:
+    """Refuse text holding a run of more than MAX_COUNT_DIGITS decimal digits, which int() would refuse
+    in CPython's words, naming the run by its digit count as int_text names an int.  The parsers call it
+    only on text longer than MAX_COUNT_DIGITS, so other text pays one length test and no call."""
+    import re
+
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if digits > MAX_COUNT_DIGITS:
+        raise ValueError(f"the text holds a {digits}-digit integer, past {MAX_COUNT_DIGITS} digits")
 
 
 def int_text(x) -> str:
@@ -202,7 +215,10 @@ class DimVector(Frozen):
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Lists, bools and numpy ints are stored as the tuples of plain ints they stand for."""
-        pairs = tuple(pairs)
+        try:
+            pairs = tuple(pairs)
+        except TypeError:
+            raise ValueError(f"a dimension vector is a sequence of pairs, got {int_text(pairs)}") from None
         if not pairs:
             raise ValueError("dimension vector needs at least one pair")
         plain, sums = True, set()
@@ -280,6 +296,8 @@ def parse_dim_vector(text: str) -> DimVector:
         )
     pair, repeat = _segment_matchers
     pairs: list[tuple[int, int]] = []
+    if len(text) > MAX_COUNT_DIGITS:
+        check_digit_runs(text)
     for idx, seg in enumerate(text.split(";"), start=1):
         seg = seg.strip()
         # the two patterns are disjoint: only the second starts with '('

@@ -19,6 +19,7 @@ from .combinat import (
     DimVector,
     Frozen,
     capped_count,
+    check_digit_runs,
     check_ground,
     check_ints,
     check_subset,
@@ -148,8 +149,12 @@ class CharacterMultiset(Frozen):
         n = check_ground(n)
         if not counts:
             raise ValueError("character multiset must be nonempty")
-        mults = check_ints([mult for _, mult in counts], "multiplicities")
-        masks = [check_subset(mask, n) for mask, _ in counts]
+        try:
+            masks, mults = zip(*counts, strict=True)
+        except (TypeError, ValueError):
+            raise ValueError(f"counts must be (mask, multiplicity) pairs, got {int_text(counts)}") from None
+        mults = check_ints(mults, "multiplicities")
+        masks = [check_subset(mask, n) for mask in masks]
         if len(set(masks)) < len(masks):
             raise ValueError("duplicate subset in character multiset")
         if min(mults) < 1:
@@ -191,6 +196,8 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
     n = n if n is None else check_ground(n)
     counts: dict[int, int] = {}
     top = 0
+    if len(text) > MAX_COUNT_DIGITS:
+        check_digit_runs(text)
     for term in text.split("+"):
         term = term.strip()
         mult = 1

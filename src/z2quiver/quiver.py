@@ -39,9 +39,7 @@ class Quiver:
             raise ValueError(f"arrow matrix must be square, got shape {a.shape}")
         if a.dtype.kind == "i" and a.size and a.min() < 0:
             raise ValueError("arrow counts must be nonnegative")
-        a = a.astype(np.int64)
-        a.flags.writeable = False
-        _store_arrows(self, a)
+        _store_arrows(self, a.astype(np.int64))
 
     @property
     def v(self) -> int:
@@ -72,7 +70,8 @@ class Quiver:
 
 
 def _store_arrows(q: Quiver, arrows) -> Quiver:
-    """Set q's matrix, unchecked and uncopied: a square, nonnegative, read-only int64 ndarray no one else holds."""
+    """Set q's matrix, unchecked and uncopied, made read-only: a square, nonnegative int64 ndarray no one else holds."""
+    arrows.flags.writeable = False
     q.arrows = arrows
     return q
 

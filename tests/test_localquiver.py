@@ -33,7 +33,7 @@ from z2quiver.localquiver import (
     smooth_point,
     young_diagram_slice,
 )
-from z2quiver.quiver import is_smooth_setting, support
+from z2quiver.quiver import Quiver, is_smooth_setting, support
 
 
 def blocks_of(*groups):
@@ -313,6 +313,15 @@ class TestLocalQuiver:
                     assert (rows, dims) == (reduced.quiver.arrows.tolist(), reduced.dims), s
                     assert local_quiver_rows(s) == (qs.quiver.arrows.tolist(), qs.dims), s
 
+    def test_stored_arrows_match_the_checked_quiver(self):
+        # oracle: the validating Quiver constructor on the same rows
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    q = local_quiver(s).quiver
+                    assert q == Quiver(local_quiver_rows(s)[0]), s
+                    assert q.arrows.dtype == np.int64 and not q.arrows.flags.writeable, s
+
 
 class TestLocalEulerMatrix:
     def test_a333(self):
@@ -425,6 +434,20 @@ class TestDegeneratesClass:
     def test_mismatched_levels_rejected(self):
         with pytest.raises(ValueError):
             degenerates_class(LocalSetting(3, 3, whole(3), (3,)), LocalSetting(3, 2, whole(3), (2,)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_label_invariants_refuse_only_what_the_search_refuses(self, n):
+        # oracle: the packing search alone, on every ordered class pair
+        refused = 0
+        for m in range(1, n + 1):
+            nodes = enumerate_settings(n, m)
+            for s in nodes:
+                for t in nodes:
+                    if sum(t.k) > sum(s.k) or t.l < s.l or max(t.sizes) > max(s.sizes):
+                        refused += 1
+                        assert not localquiver._packs(s, t), (m, s.id(), t.id())
+                    assert degenerates_class(s, t) == localquiver._packs(s, t), (m, s.id(), t.id())
+        assert refused or n == 1
 
 
 def labelled_elementary_moves(s: LocalSetting) -> list[LocalSetting]:

@@ -6,6 +6,11 @@ of 5001 digits either sign.  A call must return or raise ValueError within
 error.  A numpy int is taken as the plain int it stands for: the answer is
 the same, and every int it holds is a plain int.
 
+Each sequence argument, and each pair inside one, gets a scalar and None, and
+a pair a one-item and a three-item tuple too; a digit run past MAX_COUNT_DIGITS in parsed text
+is refused by its digit count.  Each must be refused with ValueError in the
+library's words.
+
 The contract test holds every export in z2quiver._EXPORTS to this, with bools
 too, and puts the values into the int fields of the values the exports take as
 well: DimVector pairs, CharacterMultiset masks and multiplicities, LocalSetting
@@ -100,13 +105,68 @@ def test_numpy_ints_give_the_plain_int_answer(call, args):
     assert plain(got)
 
 
+def shape_cases():
+    q = z.Quiver([[0, 2], [2, 0]])
+    sequences = {  # a sequence is due
+        "DimVector-pairs": z.DimVector,
+        "LocalSetting-blocks": lambda x: z.LocalSetting(3, 3, x, (3,)),
+        "LocalSetting-k": lambda x: z.LocalSetting(3, 3, (7,), x),
+        "CharacterMultiset-counts": lambda x: z.CharacterMultiset(3, x),
+        "count_settings_for_young-rows": z.count_settings_for_young,
+        "young_diagram_slice-sizes": lambda x: z.young_diagram_slice(4, 4, x),
+        "QuiverSetting-dims": lambda x: z.QuiverSetting(q, x),
+        "euler_form-alpha": lambda x: z.euler_form(q, x, (1, 1)),
+    }
+    pairs = {  # a pair is due
+        "DimVector-pair": lambda x: z.DimVector((x, (2, 1))),
+        "CharacterMultiset-pair": lambda x: z.CharacterMultiset(3, (x, (2, 1))),
+        "count_settings_for_young-row": lambda x: z.count_settings_for_young(((3, 1), x)),
+    }
+    shapes = {"scalar": 5, "none": None}
+    for table, values in ((sequences, shapes), (pairs, {**shapes, "short-pair": (1,), "long-pair": (1, 2, 3)})):
+        for position, call in table.items():
+            for name, value in values.items():
+                yield pytest.param(call, value, id=f"{position}-{name}")
+
+
+@pytest.mark.parametrize("call, value", shape_cases())
+def test_shape_refused_in_its_own_words(call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert not any(map(str(info.value).__contains__, FOREIGN))
+
+
+LONG_RUN = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("parse, text", [
+    (z.parse_dim_vector, LONG_RUN + ",0"),
+    (z.parse_dim_vector, f"(1,0)*{LONG_RUN}"),
+    (z.parse_subset, "{" + LONG_RUN + "}"),
+    (z.parse_characters, "{1}^" + LONG_RUN),
+    (z.parse_characters, "{" + LONG_RUN + "}"),
+], ids=["dim-vector-pair", "dim-vector-repeat", "subset", "characters-multiplicity", "characters-subset"])
+def test_long_digit_run_refused_by_its_digit_count(parse, text):
+    with pytest.raises(ValueError, match="a 5001-digit integer") as info:
+        parse(text)
+    assert not any(map(str(info.value).__contains__, FOREIGN))
+
+
+def test_long_text_of_short_runs_parses():
+    # the digit-run check reads text past MAX_COUNT_DIGITS characters, and a run of exactly that many passes
+    assert z.parse_dim_vector(";".join(["1,0"] * 2000)).n == 2000
+    assert z.parse_characters("+".join(["{1}"] * 2000)).counts == ((1, 2000),)
+    assert z.parse_dim_vector("1" + "0" * 4299 + ",0").m == 10**4299
+
+
 # The contract over every export: each int position gets each of these, and the numpy int
 # of its plain int, in one child process under a 1 GiB address-space limit, with an alarm
 # on each call.
 CONTRACT_VALUES = {"float": 2.0, "str": "3", "bool": True, "negative": -1, "huge": 10**5000,
                    "huge-negative": -(10**5000)}
 # CPython's own texts, which a refusal in the library's words never holds.
-FOREIGN = ("Exceeds the limit", "unpack", "invalid literal", "could not convert", "cannot be interpreted")
+FOREIGN = ("Exceeds the limit", "unpack", "invalid literal", "could not convert", "cannot be interpreted",
+           "is not iterable")
 CALL_SECONDS = 2
 
 
