@@ -44,10 +44,8 @@ _EXPORTS = {
             "degeneration_graph",
             "elementary_moves",
             "enumerate_settings",
-            "graph_json_obj",
             "local_euler_matrix",
             "local_quiver",
-            "setting_json_obj",
             "smooth_point",
             "young_diagram_slice",
         ),

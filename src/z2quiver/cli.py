@@ -5,9 +5,9 @@ plain-text, JSON, DOT, or CSV to stdout (fixed sort orders everywhere, no
 terminal colour, so NO_COLOR needs no special handling).  Exit codes:
 0 = yes/success, 1 = no or domain failure, 2 = usage error.
 
-Each command imports the library functions it calls, and json and csv are
-imported only where they are written, so a command loads only the modules
-it runs.
+Each command imports the library functions it calls, and csv is imported
+only where it is written, so a command loads only the modules it runs.  JSON
+is written as text, so no command imports json.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import itertools
 import operator
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def format_matrix(rows: list[list[int]]) -> Iterator[str]:
@@ -61,72 +61,35 @@ def one_quiver_dot(n: int) -> Iterator[str]:
     yield "}\n"
 
 
-def write_json(obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline to stdout.  A top-level
-    list goes out one item at a time, and a top-level dict one entry at a
-    time with each list value one item at a time, in batches, so the whole
-    text is never held in memory at once.
+def _json_list(items: Iterable[str], nl: str) -> Iterator[str]:
+    """The pieces of json.dumps(list, indent=2) on a line that starts with
+    nl, for a list whose items are already JSON text at the next depth."""
+    sep = "[" + nl + "  "
+    for item in items:
+        yield sep + item
+        sep = "," + nl + "  "
+    yield "[]" if sep[0] == "[" else nl + "]"
 
-    Strings, ints, bools, None, lists, tuples and dicts with string keys are
-    written directly, a list of ints in one join; anything else is handed
-    to json.dumps and re-indented."""
-    from json.encoder import encode_basestring_ascii as quote
 
-    def text(o, nl: str) -> str:
-        """json.dumps(o, indent=2) for a value on a line that starts with nl."""
-        if isinstance(o, str):
-            return quote(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        inner = nl + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            items = map(int.__repr__, o) if set(map(type, o)) == {int} else [text(x, inner) for x in o]
-            return f"[{inner}{(',' + inner).join(items)}{nl}]"
-        if isinstance(o, dict) and all(isinstance(key, str) for key in o):
-            if not o:
-                return "{}"
-            entries = [f"{quote(key)}: {text(value, inner)}" for key, value in o.items()]
-            return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
-        import json
+def _node_json(s, nl: str) -> str:
+    """json.dumps(node, indent=2) for the node object of setting s on a line
+    that starts with nl.  The quiver is support-reduced, so a dimension-0
+    trivial-character vertex is hidden."""
+    from .localquiver import local_quiver_rows, smooth_point
 
-        return json.dumps(o, indent=2).replace("\n", nl)
+    def ints(values, nl: str) -> str:
+        return "".join(_json_list(map(str, values), nl))
 
-    def items(seq, nl: str) -> Iterator[str]:
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in seq:
-            yield sep + text(x, inner)
-            sep = "," + inner
-        yield nl + "]"
-
-    def pieces() -> Iterator[str]:
-        if isinstance(obj, (list, tuple)) and obj:
-            yield from items(obj, "\n")
-        elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-            sep = "{\n  "
-            for key, value in obj.items():
-                yield f"{sep}{quote(key)}: "
-                if isinstance(value, (list, tuple)) and value:
-                    yield from items(value, "\n  ")
-                else:
-                    yield text(value, "\n  ")
-                sep = ",\n  "
-            yield "\n}"
-        else:
-            yield text(obj, "\n")
-
-    stream = pieces()
-    while batch := "".join(itertools.islice(stream, 1 << 10)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    rows, dims = local_quiver_rows(s, reduced=True)
+    a, b, c = nl + "  ", nl + "    ", nl + "      "
+    young = "".join(_json_list((ints((size, len(list(run))), b) for size, run in itertools.groupby(s.sizes)), a))
+    arrows = "".join(_json_list((ints(row, c) for row in rows), b))
+    # an id is ints, parentheses and commas only, so it needs no JSON escaping
+    return (
+        f'{{{a}"id": "{s.id()}",{a}"young": {young},{a}"k": {ints(s.k, a)},'
+        f'{a}"quiver": {{{b}"v": {len(rows)},{b}"arrows": {arrows}{a}}},'
+        f'{a}"dims": {ints(dims, a)},{a}"smooth": {"true" if smooth_point(s) else "false"}{nl}}}'
+    )
 
 
 def graph_dot(g) -> str:
@@ -213,11 +176,17 @@ def cmd_one_quiver(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from .localquiver import degeneration_graph, graph_json_obj
+    from .localquiver import degeneration_graph
 
     g = degeneration_graph(args.n, args.m)
     if args.format == "json":
-        write_json(graph_json_obj(g))
+        out = sys.stdout
+        out.write(f'{{\n  "n": {g.n},\n  "m": {g.m},\n  "nodes": ')
+        out.writelines(_json_list((_node_json(s, "\n    ") for s in g.nodes), "\n  "))
+        ids = [f'"{s.id()}"' for s in g.nodes]
+        out.write(',\n  "edges": ')
+        out.writelines(_json_list((f"[\n      {ids[i]},\n      {ids[j]}\n    ]" for i, j in g.edges), "\n  "))
+        out.write("\n}\n")
     elif args.format == "dot":
         sys.stdout.write(graph_dot(g))
     else:
@@ -231,7 +200,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_local(args) -> int:
-    from .localquiver import enumerate_settings, setting_json_obj, young_diagram_slice
+    from .localquiver import enumerate_settings, young_diagram_slice
 
     if args.young:
         try:
@@ -242,7 +211,8 @@ def cmd_local(args) -> int:
     else:
         settings = enumerate_settings(args.n, args.m)
     if args.format == "json":
-        write_json([setting_json_obj(s) for s in settings])
+        sys.stdout.writelines(_json_list((_node_json(s, "\n  ") for s in settings), "\n"))
+        sys.stdout.write("\n")
     else:
         for s in settings:
             print(_setting_text(s))

@@ -88,7 +88,7 @@ def parse_subset(text: str, n: int | None = None) -> int:
     mask = 0
     if body:
         for piece in body.split(","):
-            if not piece.strip().isdigit():
+            if not piece.strip().isdecimal():  # isdigit passes "²", which int() refuses
                 raise ValueError(f"bad subset element {piece!r} in {text!r}")
             i = int(piece)
             if not 1 <= i <= top:

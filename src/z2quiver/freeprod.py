@@ -203,7 +203,7 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
         mult = 1
         if "^" in term:
             term, _, tail = term.partition("^")
-            if not tail.strip().isdigit():
+            if not tail.strip().isdecimal():
                 raise ValueError(f"bad multiplicity in {text!r}")
             mult = int(tail)
             if mult < 1:

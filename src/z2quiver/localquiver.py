@@ -348,12 +348,23 @@ class DegenerationGraph(Frozen):
     """Degeneration order on permutation classes of settings: nodes are
     canonical settings, a directed edge per elementary move (coarser to
     finer).  Acyclic; its reflexive-transitive closure is the full
-    degeneration order."""
+    degeneration order.  The constructor refuses nodes that are not
+    settings of (n, m) and edges that are not pairs of node indices."""
 
     __slots__ = _fields = ("n", "m", "nodes", "edges")
 
     def __init__(self, n: int, m: int, nodes: tuple[LocalSetting, ...], edges: tuple[tuple[int, int], ...]) -> None:
-        self._set(*_check_level(n, m), nodes, edges)
+        n, m = _check_level(n, m)
+        try:
+            nodes, edges = tuple(nodes), tuple(edges)
+        except TypeError:  # nodes or edges is not iterable
+            raise ValueError(f"nodes and edges must be sequences, got {int_text(nodes)}, {int_text(edges)}") from None
+        if not all(isinstance(s, LocalSetting) and (s.n, s.m) == (n, m) for s in nodes):
+            raise ValueError(f"nodes must be settings with n={n}, m={m}")
+        edges = tuple(check_ints(e, "edge ends") for e in edges)
+        if not all(len(e) == 2 and 0 <= min(e) and max(e) < len(nodes) for e in edges):
+            raise ValueError(f"edges must be pairs of node indices in [0, {len(nodes)})")
+        self._set(n, m, nodes, edges)
 
 
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:
@@ -401,27 +412,3 @@ def smooth_point(s: LocalSetting) -> bool:
     if s.l == 1 and (s.k[0] == s.m or s.n == s.m):
         return True
     return s.n == s.m == 2
-
-
-def setting_json_obj(s: LocalSetting) -> dict:
-    """Node object for graph export; the quiver is support-reduced so a
-    dimension-0 trivial-character vertex is hidden."""
-    rows, dims = local_quiver_rows(s, reduced=True)
-    return {
-        "id": s.id(),
-        "young": [[size, len(list(run))] for size, run in itertools.groupby(s.sizes)],
-        "k": list(s.k),
-        "quiver": {"v": len(rows), "arrows": rows},
-        "dims": list(dims),
-        "smooth": smooth_point(s),
-    }
-
-
-def graph_json_obj(g: DegenerationGraph) -> dict:
-    nodes = [setting_json_obj(s) for s in g.nodes]
-    return {
-        "n": g.n,
-        "m": g.m,
-        "nodes": nodes,
-        "edges": [[nodes[i]["id"], nodes[j]["id"]] for i, j in g.edges],
-    }

@@ -25,7 +25,10 @@ class Quiver:
         integers pass; a float or a string is refused, not rounded or parsed."""
         import numpy as np
 
-        a = np.asarray(arrows)
+        try:
+            a = np.asarray(arrows)
+        except ValueError:  # numpy refuses rows of different lengths
+            raise ValueError("arrow matrix must be square, got rows of different lengths") from None
         if a.size == 0:
             a = a.reshape(0, 0)
         elif a.dtype.kind not in "biu" or a.dtype == np.uint64 and a.max() >> 63:

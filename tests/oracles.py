@@ -6,9 +6,10 @@ set partitions of the ground set, labelled degeneration of settings, the
 (m+1)^n component enumeration, the level-2 census as records, the node
 order as the old Young-label key wrote it, the character quiver's Euler
 matrix by block doubling, its Hamming distances as one full 4^n grid, the
-chain test on a character sum, a local Euler matrix from outer products, and
+chain test on a character sum, a local Euler matrix from outer products,
 the simplicity test on a support with a per-cell strong-connectivity search
-and an index-sum Euler loop.
+and an index-sum Euler loop, and the `graph` and `local` JSON as dicts for
+json.dumps(obj, indent=2).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, subset_str
 from z2quiver.freeprod import CharacterMultiset, rep2_values
-from z2quiver.localquiver import LocalSetting
+from z2quiver.localquiver import DegenerationGraph, LocalSetting, local_quiver_rows, smooth_point
 from z2quiver.quiver import _is_oriented_cycle
 
 
@@ -159,6 +160,30 @@ def degenerates(s: LocalSetting, t: LocalSetting) -> bool:
         if sk < sum(tk for tb, tk in zip(t.blocks, t.k) if tb & sb == tb):
             return False
     return True
+
+
+def setting_json_obj(s: LocalSetting) -> dict:
+    """Node object for graph export; the quiver is support-reduced so a
+    dimension-0 trivial-character vertex is hidden."""
+    rows, dims = local_quiver_rows(s, reduced=True)
+    return {
+        "id": s.id(),
+        "young": [[size, len(list(run))] for size, run in itertools.groupby(s.sizes)],
+        "k": list(s.k),
+        "quiver": {"v": len(rows), "arrows": rows},
+        "dims": list(dims),
+        "smooth": smooth_point(s),
+    }
+
+
+def graph_json_obj(g: DegenerationGraph) -> dict:
+    nodes = [setting_json_obj(s) for s in g.nodes]
+    return {
+        "n": g.n,
+        "m": g.m,
+        "nodes": nodes,
+        "edges": [[nodes[i]["id"], nodes[j]["id"]] for i, j in g.edges],
+    }
 
 
 def character_sum(n: int, counts: dict[int, int]) -> CharacterMultiset:

@@ -12,11 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from oracles import rep2_census
+from oracles import graph_json_obj, rep2_census, setting_json_obj
 
-from z2quiver.cli import build_parser, format_matrix, main, write_json
+from z2quiver.cli import build_parser, format_matrix, main
 from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
 from z2quiver.freeprod import (
     MAX_COUNT_DIGITS,
@@ -24,7 +22,13 @@ from z2quiver.freeprod import (
     is_simple_alpha,
     one_quiver_euler_closed,
 )
-from z2quiver.localquiver import enumerate_settings, local_euler_matrix, local_quiver
+from z2quiver.localquiver import (
+    degeneration_graph,
+    enumerate_settings,
+    local_euler_matrix,
+    local_quiver,
+    young_diagram_slice,
+)
 from z2quiver.quiver import support
 
 
@@ -216,6 +220,34 @@ class TestGraph:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_json_bytes_match_oracle(self, capsys, n):
+        # graph --n 1 --m 1 has no edges, so its edge list is []
+        for m in range(1, n + 1):
+            size = ["--n", str(n), "--m", str(m), "--format", "json"]
+            code, out = run(capsys, "graph", *size)
+            assert code == 0 and out == json.dumps(graph_json_obj(degeneration_graph(n, m)), indent=2) + "\n", m
+            code, out = run(capsys, "local", *size)
+            assert code == 0
+            assert out == json.dumps([setting_json_obj(s) for s in enumerate_settings(n, m)], indent=2) + "\n", m
+
+    def test_json_peak_above_the_graph(self):
+        # the text is written one node and one edge at a time; the dicts and
+        # their encoding peaked about 5 MiB above the graph at n = m = 12
+        degeneration_graph(12, 12)  # warm whatever the build caches
+        tracemalloc.start()
+        try:
+            degeneration_graph(12, 12)
+            graph_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code = main(["graph", "--n", "12", "--m", "12", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - graph_peak < 1 << 20, (peak, graph_peak)
+
     def test_dot_colours(self, capsys):
         code, out = run(capsys, "graph", "--n", "3", "--m", "3", "--format", "dot")
         assert code == 0
@@ -248,6 +280,14 @@ class TestLocal:
         assert code == 0 and len(obj) == 6
         assert [node["id"] for node in obj][0] == "(3),(3)"
 
+    @pytest.mark.parametrize("n, m, young", [(9, 9, "3,3,3"), (6, 4, "2,2,1,1"), (5, 5, "1,1,1,1,1"), (3, 2, "1,1,1")])
+    def test_young_json_bytes_match_oracle(self, capsys, n, m, young):
+        # (3, 2, "1,1,1") is the empty slice: every k is 1, and their sum 3 exceeds m
+        settings = young_diagram_slice(n, m, tuple(map(int, young.split(",")))).nodes
+        code, out = run(capsys, "local", "--n", str(n), "--m", str(m), "--young", young, "--format", "json")
+        assert code == 0 and out == json.dumps([setting_json_obj(s) for s in settings], indent=2) + "\n"
+        assert (out == "[]\n") == (young == "1,1,1")
+
     def test_bad_young(self, capsys):
         # a wrong sum, a zero row and a negative row are all refused
         for young, n in (("3,3", "4"), ("3,0", "3"), ("4,-1", "3")):
@@ -255,52 +295,6 @@ class TestLocal:
             captured = capsys.readouterr()
             assert code == 1 and captured.out == "", young
             assert "not a diagram" in captured.err, young
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.tuples(inner, inner)
-        | st.lists(st.integers() | st.booleans(), max_size=4)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
-        | st.dictionaries(st.integers(), inner, max_size=2)
-    ),
-    max_leaves=12,
-)
-
-
-class TestWriteJson:
-    def text(self, capsys, obj) -> str:
-        write_json(obj)
-        return capsys.readouterr().out
-
-    @given(JSON_VALUES)
-    def test_matches_json_dumps(self, obj):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            write_json(obj)
-        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            [],
-            {},
-            {"a": [], "b": {}, "c": [[]], "d": [True, 1, False, 0], "e": None},
-            [{"id": "caf\u00e9 \"x\"\n", "k": [1, 2], "f": 1.5}, [1, [2, [3]]]],
-            {"n": 3, "nodes": [{"quiver": {"v": 2, "arrows": [[0, 1], [1, 0]]}}], "edges": [["a", "b"]]},
-            {1: "int key", "s": "str key"},
-            "text",
-            7,
-        ],
-    )
-    def test_edge_cases(self, capsys, obj):
-        assert self.text(capsys, obj) == json.dumps(obj, indent=2) + "\n"
-
-    def test_refuses_what_json_refuses(self, capsys):
-        with pytest.raises(TypeError):
-            write_json({"m": np.int64(4)})
 
 
 def fifty_alpha_specs() -> list[DimVector]:
@@ -592,8 +586,8 @@ def test_modules_loaded_per_command(argv):
     assert {"z2quiver", "z2quiver.cli"} <= set(loaded)
     assert "dataclasses" not in loaded
     assert not NOT_LOADED[argv[0]] & set(loaded)
-    # json only where JSON is written through write_json, csv only for components --format csv
-    assert ("json" in loaded) == (argv[0] in ("graph", "local") and "json" in argv)
+    # JSON is written as text, csv is loaded only for components --format csv
+    assert "json" not in loaded
     assert ("csv" in loaded) == (argv[0] == "components" and "csv" in argv)
 
 

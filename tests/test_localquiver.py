@@ -6,7 +6,15 @@ import time
 
 import numpy as np
 import pytest
-from oracles import degenerates, enumerate_set_partitions, local_euler_outer, min_element, young_sort_key
+from oracles import (
+    degenerates,
+    enumerate_set_partitions,
+    graph_json_obj,
+    local_euler_outer,
+    min_element,
+    setting_json_obj,
+    young_sort_key,
+)
 
 from z2quiver import localquiver
 from z2quiver.combinat import (
@@ -25,11 +33,9 @@ from z2quiver.localquiver import (
     degeneration_graph,
     elementary_moves,
     enumerate_settings,
-    graph_json_obj,
     local_euler_matrix,
     local_quiver,
     local_quiver_rows,
-    setting_json_obj,
     smooth_point,
     young_diagram_slice,
 )
@@ -615,6 +621,18 @@ class TestDegenerationGraph:
         for _ in range(4000):
             i, j = rng.randrange(k), rng.randrange(k)
             assert bool(reach[i] >> j & 1) == degenerates_class(g.nodes[i], g.nodes[j]), (i, j)
+
+    def test_constructor_checks_and_stores_tuples(self):
+        g = degeneration_graph(4, 3)
+        built = DegenerationGraph(4, np.int64(3), list(g.nodes), [[i, np.int64(j)] for i, j in g.edges])
+        assert built == g and type(built.nodes) is tuple and all(type(e) is tuple for e in built.edges)
+        assert all(type(x) is int for e in built.edges for x in e)
+        other_level = enumerate_settings(4, 4)[0]
+        for nodes, edges in [(5, ()), ((), 5), ((g.nodes[0], "node"), ()), ((other_level,), ()), ((), ((0, 0),)),
+                             (g.nodes, ((0, len(g.nodes)),)), (g.nodes, ((0, -1),)), (g.nodes, ((0,),)),
+                             (g.nodes, ((0, 1, 2),)), (g.nodes, ((0, 1.0),))]:
+            with pytest.raises(ValueError):
+                DegenerationGraph(4, 3, nodes, edges)
 
     def test_fig_33(self):
         g = degeneration_graph(3, 3)

@@ -41,8 +41,8 @@ PUBLIC = {
     ),
     **dict.fromkeys(
         ["DegenerationGraph", "LocalSetting", "count_settings_for_young", "degenerates_class", "degeneration_graph",
-         "elementary_moves", "enumerate_settings", "graph_json_obj", "local_euler_matrix", "local_quiver",
-         "setting_json_obj", "smooth_point", "young_diagram_slice"],
+         "elementary_moves", "enumerate_settings", "local_euler_matrix", "local_quiver", "smooth_point",
+         "young_diagram_slice"],
         "localquiver",
     ),
     **dict.fromkeys(

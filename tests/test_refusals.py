@@ -14,9 +14,9 @@ library's words.
 The contract test holds every export in z2quiver._EXPORTS to this, with bools
 too, and puts the values into the int fields of the values the exports take as
 well: DimVector pairs, CharacterMultiset masks and multiplicities, LocalSetting
-masks, m and k, and QuiverSetting dims.  Its table runs in one child process
-(run this file as a script to see its report) under a 1 GiB address-space
-limit, with an alarm on each call.  A bool or a numpy int must get the answer
+masks, m and k, QuiverSetting dims, and DegenerationGraph nodes and edge ends.
+Its table runs in one child process (run this file as a script to see its
+report) under a 1 GiB address-space limit, with an alarm on each call.  A bool or a numpy int must get the answer
 of the plain int it stands for, made of the same types, and every library
 value in an answer must hash.
 """
@@ -116,11 +116,15 @@ def shape_cases():
         "young_diagram_slice-sizes": lambda x: z.young_diagram_slice(4, 4, x),
         "QuiverSetting-dims": lambda x: z.QuiverSetting(q, x),
         "euler_form-alpha": lambda x: z.euler_form(q, x, (1, 1)),
+        "DegenerationGraph-nodes": lambda x: z.DegenerationGraph(3, 3, x, ()),
+        "DegenerationGraph-edges": lambda x: z.DegenerationGraph(3, 3, (), x),
     }
     pairs = {  # a pair is due
         "DimVector-pair": lambda x: z.DimVector((x, (2, 1))),
         "CharacterMultiset-pair": lambda x: z.CharacterMultiset(3, (x, (2, 1))),
         "count_settings_for_young-row": lambda x: z.count_settings_for_young(((3, 1), x)),
+        "DegenerationGraph-edge": lambda x: z.DegenerationGraph(3, 3, z.enumerate_settings(3, 3), (x,)),
+        "Quiver-row": lambda x: z.Quiver([[0, 1], x]),
     }
     shapes = {"scalar": 5, "none": None}
     for table, values in ((sequences, shapes), (pairs, {**shapes, "short-pair": (1,), "long-pair": (1, 2, 3)})):
@@ -152,6 +156,15 @@ def test_long_digit_run_refused_by_its_digit_count(parse, text):
     assert not any(map(str(info.value).__contains__, FOREIGN))
 
 
+@pytest.mark.parametrize("parse, text", [(z.parse_subset, "{\u00b2}"), (z.parse_characters, "{1}^\u00b2")],
+                         ids=["subset", "characters-multiplicity"])
+def test_superscript_digit_refused_in_its_own_words(parse, text):
+    # str.isdigit passes a superscript two, which int() refuses in CPython's words
+    with pytest.raises(ValueError, match="bad") as info:
+        parse(text)
+    assert not any(map(str(info.value).__contains__, FOREIGN))
+
+
 def test_long_text_of_short_runs_parses():
     # the digit-run check reads text past MAX_COUNT_DIGITS characters, and a run of exactly that many passes
     assert z.parse_dim_vector(";".join(["1,0"] * 2000)).n == 2000
@@ -166,7 +179,7 @@ CONTRACT_VALUES = {"float": 2.0, "str": "3", "bool": True, "negative": -1, "huge
                    "huge-negative": -(10**5000)}
 # CPython's own texts, which a refusal in the library's words never holds.
 FOREIGN = ("Exceeds the limit", "unpack", "invalid literal", "could not convert", "cannot be interpreted",
-           "is not iterable")
+           "is not iterable", "inhomogeneous shape")
 CALL_SECONDS = 2
 
 
@@ -216,8 +229,9 @@ def contract_table():
         ],
         "LocalSetting": setting,
         "degenerates_class": through(setting, lambda s: z.degenerates_class(s, fine)),
-        "DegenerationGraph": positions(lambda n, m: z.DegenerationGraph(n, m, (), ()), 4, 3),
-        "graph_json_obj": positions(lambda n, m: z.graph_json_obj(z.degeneration_graph(n, m)), 4, 3),
+        "DegenerationGraph": positions(lambda n, m: z.DegenerationGraph(n, m, (), ()), 4, 3)
+        + through(setting, lambda s: z.DegenerationGraph(4, 4, (s, fine), ((0, 1),)))
+        + [("edge", 1, lambda x: z.DegenerationGraph(4, 4, (fine, fine), ((0, x),)))],
         "young_diagram_slice": positions(lambda n, m, size: z.young_diagram_slice(n, m, (size, 2)), 4, 3, 2),
         "Quiver": arrows,
         "is_strongly_connected": through(arrows, z.is_strongly_connected),
@@ -236,7 +250,7 @@ def contract_table():
     for name in ("bn_canonicalize", "chain_of", "is_iss_smooth", "is_simple_alpha", "is_simple_alpha_oracle",
                  "iss_dim", "simple_alpha_report"):
         table[name] = through(alpha, getattr(z, name))
-    for name in ("elementary_moves", "local_euler_matrix", "local_quiver", "setting_json_obj", "smooth_point"):
+    for name in ("elementary_moves", "local_euler_matrix", "local_quiver", "smooth_point"):
         table[name] = through(setting, getattr(z, name))
     for name in ("is_simple_dimvector", "is_smooth_setting", "support"):
         table[name] = [("dim", 1, lambda x, f=getattr(z, name): f(q, (x, 1)))]
