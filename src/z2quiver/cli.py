@@ -5,9 +5,9 @@ plain-text, JSON, DOT, or CSV to stdout (fixed sort orders everywhere, no
 terminal colour, so NO_COLOR needs no special handling).  Exit codes:
 0 = yes/success, 1 = no or domain failure, 2 = usage error.
 
-Each command imports the library functions it calls, and csv is imported
-only where it is written, so a command loads only the modules it runs.  JSON
-is written as text, so no command imports json.
+Each command imports the library functions it calls, so a command loads
+only the modules it runs.  JSON lists are written through _json_list and CSV
+rows as joined text, so no command imports json or csv.
 """
 
 from __future__ import annotations
@@ -130,16 +130,9 @@ def cmd_components(args) -> int:
     count = component_count(args.n, args.m)
     reps = orbit_representatives(args.n, args.m) if args.orbits else []
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        if args.orbits:
-            writer.writerow(["alpha"])
-            for rep in reps:
-                writer.writerow([str(rep)])
-        else:
-            writer.writerow(["n", "m", "components"])
-            writer.writerow([args.n, args.m, count])
+        # csv's minimal quoting: every alpha holds a comma, so every alpha is quoted
+        rows = [f'"{rep}"' for rep in reps] if args.orbits else [f"{args.n},{args.m},{count}"]
+        print("alpha" if args.orbits else "n,m,components", *rows, sep="\n")
         return 0
     print(count)
     if args.orbits:
@@ -164,12 +157,9 @@ def cmd_one_quiver(args) -> int:
     elif args.format == "json":
         # json.dumps({"v": ..., "arrows": ...}, indent=2) and a newline
         texts = [f"      {max(d - 1, 0)}" for d in range(n + 1)]
-        out.write(f'{{\n  "v": {1 << n},\n  "arrows": [')
-        sep = "\n"
-        for row in hamming_rows(n, texts, ",\n"):
-            out.write(f"{sep}    [\n{row}\n    ]")
-            sep = ",\n"
-        out.write("\n  ]\n}\n")
+        out.write(f'{{\n  "v": {1 << n},\n  "arrows": ')
+        out.writelines(_json_list((f"[\n{row}\n    ]" for row in hamming_rows(n, texts, ",\n")), "\n  "))
+        out.write("\n}\n")
     else:
         out.writelines(one_quiver_dot(n))
     return 0

@@ -111,32 +111,29 @@ def hamming_split(n: int, block) -> Iterator[list]:
     return ([blocks[(i ^ j).bit_count()] for j in high] for i in high)
 
 
-def _hamming_fill(n: int, cell):
-    """cell(popcount(i ^ j)) at (i, j), a fresh read-only int64 ndarray filled
+def _hamming_matrix(n: int, cell):
+    """cell(popcount(i ^ j)) at (i, j), a fresh read-only int64 ndarray joined
     one row block at a time from hamming_split: no 4**n intermediate."""
     n = check_one_quiver(n)
-    import numpy as np
+    from .quiver import _int_matrix, _join_blocks
 
-    table, grid = np.array([cell(d) for d in range(n + 1)]), np.empty((1 << n, 1 << n), dtype=np.int64)
-    for rows, picked in zip(grid.reshape(-1, 1 << n // 2, 1 << n), hamming_split(n, table.__getitem__)):
-        np.concatenate(picked, axis=1, out=rows)
-    grid.flags.writeable = False
-    return grid
+    cells = [cell(d) for d in range(n + 1)]
+    return _join_blocks(1 << n, hamming_split(n, lambda rows: _int_matrix([[cells[d] for d in ds] for ds in rows])))
 
 
 def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
     no loops."""
-    from .quiver import Quiver, _store_arrows
+    from .quiver import Quiver
 
-    return _store_arrows(object.__new__(Quiver), _hamming_fill(n, lambda d: max(d - 1, 0)))
+    return object.__new__(Quiver)._set(_hamming_matrix(n, lambda d: max(d - 1, 0)))
 
 
 def one_quiver_euler_closed(n: int):
     """Euler matrix of the character quiver, a read-only int64 ndarray, via
     the closed form 1 - |A delta B|."""
-    return _hamming_fill(n, lambda d: 1 - d)
+    return _hamming_matrix(n, lambda d: 1 - d)
 
 
 class CharacterMultiset(Frozen):

@@ -221,26 +221,18 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     dimension m - sum(k) joined to block i by |A_i|-k_i arrows each way.
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
-    import numpy as np
-
-    from .quiver import Quiver, QuiverSetting, _store_arrows
+    from .quiver import Quiver, QuiverSetting, _int_matrix
 
     rows, dims = local_quiver_rows(s)  # from a checked label: square rows of nonnegative ints, as Quiver checks
-    quiver = _store_arrows(object.__new__(Quiver), np.array(rows, dtype=np.int64))
-    return object.__new__(QuiverSetting)._set(quiver, dims)
+    return object.__new__(QuiverSetting)._set(object.__new__(Quiver)._set(_int_matrix(rows)), dims)
 
 
 def local_euler_matrix(s: LocalSetting):
-    """Euler matrix of the setting, an int64 ndarray: identity minus the
-    arrow rows of local_quiver over the block vertices, and the
-    trivial-character vertex too when some |A_i| > k_i joins it to a block."""
-    import numpy as np
+    """Euler matrix of local_quiver(s), a read-only int64 ndarray: identity minus its arrows."""
+    from .quiver import _int_matrix
 
     rows, _ = local_quiver_rows(s)
-    w = s.l + (s.sizes != s.k)  # k_i <= |A_i|: they differ where some |A_i| > k_i
-    return np.array(
-        [[(i == j) - a for j, a in enumerate(row[:w])] for i, row in enumerate(rows[:w])], dtype=np.int64
-    )
+    return _int_matrix([[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(rows)])
 
 
 def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:

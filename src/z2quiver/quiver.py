@@ -19,7 +19,11 @@ class UnsupportedInputError(ValueError):
     """Input is outside the range a classification result covers."""
 
 
-class Quiver:
+class Quiver(Frozen):
+    """A v x v matrix of arrow counts; equality, the hash and the repr read it."""
+
+    __slots__ = _fields = ("arrows",)
+
     def __init__(self, arrows) -> None:
         """Freeze a copy of arrows as an int64 matrix.  Bools and numpy
         integers pass; a float or a string is refused, not rounded or parsed."""
@@ -42,7 +46,7 @@ class Quiver:
             raise ValueError(f"arrow matrix must be square, got shape {a.shape}")
         if a.dtype.kind == "i" and a.size and a.min() < 0:
             raise ValueError("arrow counts must be nonnegative")
-        _store_arrows(self, a.astype(np.int64))
+        self._set(_int_matrix(a))
 
     @property
     def v(self) -> int:
@@ -72,11 +76,27 @@ class Quiver:
         return f"Quiver({self.arrows.tolist()})"
 
 
-def _store_arrows(q: Quiver, arrows) -> Quiver:
-    """Set q's matrix, unchecked and uncopied, made read-only: a square, nonnegative int64 ndarray no one else holds."""
-    arrows.flags.writeable = False
-    q.arrows = arrows
-    return q
+def _int_matrix(rows):
+    """A fresh read-only int64 ndarray copy of square int rows, or of a square
+    ndarray, that the library has checked (no rows give the 0 x 0 matrix)."""
+    import numpy as np
+
+    a = np.array(rows, dtype=np.int64) if len(rows) else np.zeros((0, 0), dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def _join_blocks(size: int, row_blocks):
+    """The read-only size x size int64 ndarray whose row blocks, top to bottom, are the lists of
+    blocks in row_blocks joined left to right, each written in place: no other such array is made."""
+    import numpy as np
+
+    grid, top = np.empty((size, size), dtype=np.int64), 0
+    for blocks in row_blocks:
+        np.concatenate(blocks, axis=1, out=grid[top : top + len(blocks[0])])
+        top += len(blocks[0])
+    grid.setflags(write=False)
+    return grid
 
 
 class QuiverSetting(Frozen):
@@ -118,7 +138,7 @@ def _support_rows(rows: list[list[int]], d: tuple[int, ...]) -> tuple[list[list[
 def support(q: Quiver, dims) -> QuiverSetting:
     """Full subquiver on the vertices with nonzero dimension."""
     rows, d = _support_rows(q.arrows.tolist(), _check_dims(q, dims))
-    return QuiverSetting(Quiver(rows), d)
+    return object.__new__(QuiverSetting)._set(object.__new__(Quiver)._set(_int_matrix(rows)), d)
 
 
 def is_strongly_connected(q: Quiver) -> bool:
@@ -189,14 +209,15 @@ def _is_simple_support(a: list[list[int]], dims) -> bool:
 def is_smooth_setting(q: Quiver, dims) -> bool:
     """Whether the moduli of semisimples of a symmetric setting is smooth.
 
-    Restricts to the support and checks each connected component against
-    the local building-block rules: the component must be tree-like, every
-    branching vertex (degree >= 3) has dimension 1, an edge of multiplicity
-    k >= 2 needs one endpoint of dimension 1 and the other of dimension
-    >= k, a degree-2 vertex of dimension 2 needs both incident edges
-    simple, and a degree-2 vertex of dimension >= 3 additionally needs a
-    dimension-1 neighbour on some side.  Loops are outside the scope of
-    the underlying classification and are rejected.
+    Restricts to the support and checks each connected component against the local
+    building-block rules: the component must be tree-like, every branching vertex
+    (degree >= 3) has dimension 1, an edge of multiplicity k >= 2 needs one
+    endpoint of dimension 1 and the other of dimension >= k, a degree-2 vertex of
+    dimension 2 needs both incident edges simple, and a degree-2 vertex of
+    dimension >= 3 additionally needs a dimension-1 neighbour on some side.  A loop
+    at a dimension-1 vertex is a GL_1-invariant coordinate, so the quotient is A^1
+    times the one without it, smooth just when that one is (Bocklandt, J. Algebra
+    2002): such loops are ignored.  Loops at dimension >= 2 are refused.
     """
     d = _check_dims(q, dims)
     rows = q.arrows.tolist()
@@ -204,9 +225,9 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
         raise ValueError("smoothness test needs a symmetric quiver")
     a, sd = _support_rows(rows, d)
     v = len(sd)
-    if any(a[i][i] for i in range(v)):
-        raise UnsupportedInputError("smoothness classification does not cover loops")
-    neighbours = [[j for j, k in enumerate(row) if k] for row in a]
+    if any(a[i][i] and sd[i] >= 2 for i in range(v)):
+        raise UnsupportedInputError("smoothness classification does not cover loops at dimension >= 2")
+    neighbours = [[j for j, k in enumerate(row) if k and j != i] for i, row in enumerate(a)]
 
     seen: set[int] = set()
     for start in range(v):

@@ -19,8 +19,10 @@ from z2quiver.combinat import DimVector, parse_dim_vector, subset_str
 from z2quiver.freeprod import (
     MAX_COUNT_DIGITS,
     build_one_quiver,
+    component_count,
     is_simple_alpha,
     one_quiver_euler_closed,
+    orbit_representatives,
 )
 from z2quiver.localquiver import (
     degeneration_graph,
@@ -63,6 +65,17 @@ class TestComponents:
         code, out = run(capsys, "components", "--n", "3", "--m", "2", "--orbits", "--format", "csv")
         lines = out.splitlines()
         assert lines[0] == "alpha" and len(lines) == 5
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_csv_bytes_match_the_csv_module(self, capsys, n):
+        # every alpha holds a comma, so the csv module quotes every alpha
+        for m in range(6):
+            for rows, orbits in (([["n", "m", "components"], [n, m, component_count(n, m)]], ()),
+                                 ([["alpha"], *([str(rep)] for rep in orbit_representatives(n, m))], ("--orbits",))):
+                expected = io.StringIO()
+                csv.writer(expected, lineterminator="\n").writerows(rows)
+                code, out = run(capsys, "components", "--n", str(n), "--m", str(m), "--format", "csv", *orbits)
+                assert code == 0 and out == expected.getvalue(), (n, m, orbits)
 
     def test_orbits_n8_m6(self, capsys):
         code, out = run(capsys, "components", "--n", "8", "--m", "6", "--orbits")
@@ -586,9 +599,8 @@ def test_modules_loaded_per_command(argv):
     assert {"z2quiver", "z2quiver.cli"} <= set(loaded)
     assert "dataclasses" not in loaded
     assert not NOT_LOADED[argv[0]] & set(loaded)
-    # JSON is written as text, csv is loaded only for components --format csv
-    assert "json" not in loaded
-    assert ("csv" in loaded) == (argv[0] == "components" and "csv" in argv)
+    # JSON and CSV are written as text
+    assert "json" not in loaded and "csv" not in loaded
 
 
 # MODULE_PROBE with re.compile wrapped, then the z2quiver modules that called it.

@@ -24,7 +24,7 @@ from z2quiver.combinat import (
     multiset_coeff,
     partitions_of_int,
 )
-from z2quiver.freeprod import iss_dim
+from z2quiver.freeprod import is_iss_smooth, iss_dim
 from z2quiver.localquiver import (
     DegenerationGraph,
     LocalSetting,
@@ -365,6 +365,16 @@ class TestLocalEulerMatrix:
                         assert q.shape == (l + 1, l + 1)
                         assert np.array_equal(e, q[:l, :l])
                         assert q[l, l] == 1 and not q[l, :l].any() and not q[:l, l].any()
+
+    def test_read_only_and_the_euler_matrix_of_local_quiver(self):
+        # the trivial-character vertex is always kept: a dimension m - sum(k) > 0
+        # with m <= n = sum |A_i| forces some |A_i| > k_i, which joins it to a block
+        for n in range(1, 11):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    e, q = local_euler_matrix(s), local_quiver(s).quiver.euler_matrix()
+                    assert e.dtype == np.int64 and e.shape == q.shape and np.array_equal(e, q), s
+                    assert not e.flags.writeable, s
 
 
 class TestDegenerates:
@@ -851,6 +861,21 @@ class TestSmoothPoint:
                     assert smooth_point(s) == is_smooth_setting(qs.quiver, qs.dims), s.id()
                 else:
                     assert reduced.quiver.arrows.diagonal().any()
+
+    def test_matches_block_rules_on_every_local_quiver(self):
+        # the local quivers carry loops only at dimension-1 block vertices,
+        # which is_smooth_setting ignores, so it decides every setting
+        for n in range(1, 11):
+            for m in range(1, n + 1):
+                for s in enumerate_settings(n, m):
+                    qs = local_quiver(s)
+                    assert smooth_point(s) == is_smooth_setting(qs.quiver, qs.dims), s.id()
+
+    def test_component_smooth_exactly_when_every_point_is(self):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                points = enumerate_settings(n, m)
+                assert is_iss_smooth(DimVector.standard(n, m)) == all(map(smooth_point, points)), (n, m)
 
 
 class TestJsonExport:

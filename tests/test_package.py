@@ -3,11 +3,15 @@
 `z2quiver` binds its public names on the first one looked up; the names, the
 objects and a star import must be those of an eager import.  The value
 classes share `combinat.Frozen`: their repr text, hash, equality, order and
-immutability are pinned here as a frozen record class gave them.
+immutability are pinned here as a frozen record class gave them.  Each format
+has one owner: only `quiver` imports numpy, and JSON and CSV are written as
+text.
 """
 
+import ast
 import copy
 import importlib
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -160,3 +164,23 @@ class TestFrozen:
             CharacterMultiset(2, ((1, 1), (1, 2)))
         with pytest.raises(ValueError, match="nonnegative integers"):
             QuiverSetting(Quiver([[0]]), (-1,))
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports anywhere in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_one_owner_per_format():
+    sources = {path.name: path.read_text() for path in pathlib.Path(z2quiver.__file__).parent.glob("*.py")}
+    imports = {name: imported_modules(source) for name, source in sources.items()}
+    assert {name for name, modules in imports.items() if "numpy" in modules} == {"quiver.py"}
+    assert all(not modules & {"csv", "json"} for modules in imports.values()), imports
+    # the matrix is stored through Frozen._set, not a setter of its own
+    assert all("_store_arrows" not in source for source in sources.values())

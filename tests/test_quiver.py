@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,20 @@ class TestQuiverBasics:
         q = pair_quiver(1)
         with pytest.raises(ValueError):
             q.arrows[0, 1] = 5
+
+    def test_arrows_cannot_be_reassigned_or_deleted(self):
+        # a quiver is a value: reassigning arrows would change its v and its
+        # hash while it is a dict key
+        q = pair_quiver(1)
+        keyed = {q: "pair"}
+        for act in (lambda: setattr(q, "arrows", np.zeros((3, 3), dtype=np.int64)),
+                    lambda: delattr(q, "arrows"), lambda: setattr(q, "extra", 1)):
+            with pytest.raises(AttributeError):
+                act()
+        assert q.v == 2 and keyed[pair_quiver(1)] == "pair" and not hasattr(q, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert type(twin) is Quiver and twin == q and hash(twin) == hash(q)
+            assert not twin.arrows.flags.writeable
 
     def test_read_only_matrix_copied(self):
         # the caller can make its read-only array writeable again and write
@@ -196,6 +212,13 @@ class TestSupport:
         assert s.quiver.v == 2
         assert s.quiver.arrows.tolist() == [[0, 0], [0, 0]]
         assert s.dims == (1, 2)
+
+    def test_read_only_int64_square_matrix(self):
+        q = Quiver([[1, 2, 0], [2, 0, 3], [0, 3, 0]])
+        for dims, rows in (((1, 0, 2), [[1, 0], [0, 0]]), ((0, 0, 0), []), ((1, 1, 1), q.arrows.tolist())):
+            a = support(q, dims).quiver.arrows
+            assert a.dtype == np.int64 and a.shape == (len(rows), len(rows)) and a.tolist() == rows
+            assert not a.flags.writeable and not np.shares_memory(a, q.arrows)
 
 
 class TestStronglyConnected:
@@ -384,7 +407,22 @@ class TestIsSmoothSetting:
 
     def test_loops_rejected(self):
         with pytest.raises(UnsupportedInputError):
-            is_smooth_setting(Quiver([[1]]), (1,))
+            is_smooth_setting(Quiver([[1]]), (2,))
+        with pytest.raises(UnsupportedInputError):
+            is_smooth_setting(Quiver([[0, 1], [1, 1]]), (1, 3))
+
+    def test_loops_at_dimension_one_ignored(self):
+        # a loop at a dimension-1 vertex is a GL_1-invariant coordinate: the
+        # quotient is A^1 times the one without the loop
+        assert is_smooth_setting(Quiver([[1]]), (1,))
+        assert is_smooth_setting(Quiver([[3]]), (1,))
+        for loops in (1, 2):
+            for mult, dims in ((1, (1, 4)), (1, (1, 1)), (2, (1, 2)), (2, (1, 1)), (3, (1, 2))):
+                looped = Quiver([[loops, mult], [mult, 0]])
+                assert is_smooth_setting(looped, dims) == is_smooth_setting(pair_quiver(mult), dims)
+        # in a chain the looped vertex keeps its degree, and the other rules still bind
+        assert is_smooth_setting(Quiver([[0, 1, 0], [1, 2, 1], [0, 1, 0]]), (3, 1, 2))
+        assert not is_smooth_setting(Quiver([[0, 2, 0], [2, 0, 1], [0, 1, 2]]), (1, 2, 1))
 
     def test_loops_outside_support_ignored(self):
         q = Quiver([[2, 0], [0, 0]])
