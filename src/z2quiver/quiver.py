@@ -33,17 +33,17 @@ class Quiver(Frozen):
             a = np.asarray(arrows)
         except ValueError:  # numpy refuses rows of different lengths
             raise ValueError("arrow matrix must be square, got rows of different lengths") from None
-        if a.size == 0:
+        if a.shape == (0,):  # [] is the empty quiver; other empty shapes are refused below
             a = a.reshape(0, 0)
-        elif a.dtype.kind not in "biu" or a.dtype == np.uint64 and a.max() >> 63:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"arrow matrix must be square, got shape {a.shape}")
+        if a.size and (a.dtype.kind not in "biu" or a.dtype == np.uint64 and a.max() >> 63):
             # numpy keeps Python ints past the int64 range as uint64, objects or floats
             try:
                 [operator.index(x) for x in np.array(arrows, dtype=object).flat]
             except TypeError:
                 raise ValueError(f"arrow counts must be integers, got dtype {a.dtype}") from None
             raise ValueError("arrow counts must fit in a signed 64-bit integer")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"arrow matrix must be square, got shape {a.shape}")
         if a.dtype.kind == "i" and a.size and a.min() < 0:
             raise ValueError("arrow counts must be nonnegative")
         self._set(_int_matrix(a))
@@ -147,28 +147,21 @@ def is_strongly_connected(q: Quiver) -> bool:
     return len(a) <= 1 or _reaches_all(a) and _reaches_all(list(zip(*a)))
 
 
-def _reaches_all(rows) -> bool:
-    """Whether a search from vertex 0 along the nonzero entries of rows reaches every vertex."""
-    seen, stack = [True] + [False] * (len(rows) - 1), [0]
+def _reach(rows, start: int, seen: list[bool]) -> None:
+    """Mark in seen every vertex that a search from start along the nonzero entries of rows reaches."""
+    seen[start], stack = True, [start]
     while stack:
         for j, k in enumerate(rows[stack.pop()]):
             if k and not seen[j]:
                 seen[j] = True
                 stack.append(j)
+
+
+def _reaches_all(rows) -> bool:
+    """Whether a search from vertex 0 along the nonzero entries of rows reaches every vertex."""
+    seen = [False] * len(rows)
+    _reach(rows, 0, seen)
     return all(seen)
-
-
-def _is_oriented_cycle(a: list[list[int]]) -> bool:
-    """One directed cycle through all v >= 1 vertices, every vertex with
-    exactly one arrow in and one out (a single loop counts as the
-    one-vertex cycle)."""
-    if any(sum(row) != 1 for row in a) or any(sum(col) != 1 for col in zip(*a)):
-        return False
-    # a permutation matrix: walk from vertex 0 until the walk comes back
-    cur, steps = a[0].index(1), 1
-    while cur:
-        cur, steps = a[cur].index(1), steps + 1
-    return steps == len(a)
 
 
 def is_simple_dimvector(q: Quiver, dims) -> bool:
@@ -194,11 +187,12 @@ def _is_simple_support(a: list[list[int]], dims) -> bool:
     positive dims."""
     if len(dims) == 1:
         return a[0][0] >= 2 or dims[0] == 1
-    if _is_oriented_cycle(a):
-        return all(x == 1 for x in dims)
     cols = list(zip(*a))
     if not (_reaches_all(a) and _reaches_all(cols)):  # strongly connected
         return False
+    # every vertex has an arrow out and one in, so v arrows in all make exactly one each: an oriented cycle
+    if sum(map(sum, a)) == len(a):
+        return all(x == 1 for x in dims)
     # the Euler inequalities: dims_i <= the dims-weighted arrows into i, and out of i
     for x, row, col in zip(dims, a, cols):
         if x > sum(map(operator.mul, dims, col)) or x > sum(map(operator.mul, row, dims)):
@@ -209,13 +203,13 @@ def _is_simple_support(a: list[list[int]], dims) -> bool:
 def is_smooth_setting(q: Quiver, dims) -> bool:
     """Whether the moduli of semisimples of a symmetric setting is smooth.
 
-    Restricts to the support and checks each connected component against the local
-    building-block rules: the component must be tree-like, every branching vertex
-    (degree >= 3) has dimension 1, an edge of multiplicity k >= 2 needs one
-    endpoint of dimension 1 and the other of dimension >= k, a degree-2 vertex of
-    dimension 2 needs both incident edges simple, and a degree-2 vertex of
-    dimension >= 3 additionally needs a dimension-1 neighbour on some side.  A loop
-    at a dimension-1 vertex is a GL_1-invariant coordinate, so the quotient is A^1
+    Restricts to the support, which must be a forest, and checks the local
+    building-block rules per vertex and per edge: every branching vertex
+    (degree >= 3) has dimension 1, a degree-2 vertex of dimension 2 needs both
+    incident edges simple, a degree-2 vertex of dimension >= 3 additionally needs
+    a dimension-1 neighbour on some side, and an edge of multiplicity k >= 2 needs
+    one endpoint of dimension 1 and the other of dimension >= k.  A loop at a
+    dimension-1 vertex is a GL_1-invariant coordinate, so the quotient is A^1
     times the one without it, smooth just when that one is (Bocklandt, J. Algebra
     2002): such loops are ignored.  Loops at dimension >= 2 are refused.
     """
@@ -228,36 +222,22 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
     if any(a[i][i] and sd[i] >= 2 for i in range(v)):
         raise UnsupportedInputError("smoothness classification does not cover loops at dimension >= 2")
     neighbours = [[j for j, k in enumerate(row) if k and j != i] for i, row in enumerate(a)]
-
-    seen: set[int] = set()
-    for start in range(v):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in neighbours[i]:
-                if j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
-        edges = [(i, j) for i in comp for j in neighbours[i] if i < j]
-        if len(edges) != len(comp) - 1:
-            return False  # connected with an extra edge: a cycle
-        for i in comp:
-            deg = len(neighbours[i])
-            if deg >= 3 and sd[i] != 1:
+    for x, row, near in zip(sd, a, neighbours):
+        if len(near) >= 3 and x != 1:
+            return False
+        if len(near) == 2 and x >= 2:
+            if any(row[j] != 1 for j in near) or x >= 3 and all(sd[j] != 1 for j in near):
                 return False
-            if deg == 2 and sd[i] >= 2:
-                if any(a[i][j] != 1 for j in neighbours[i]):
-                    return False
-                if sd[i] >= 3 and all(sd[j] != 1 for j in neighbours[i]):
-                    return False
-        for i, j in edges:
-            k = a[i][j]
-            if k >= 2:
+    for i, (row, near) in enumerate(zip(a, neighbours)):
+        for j in near:
+            if j > i and row[j] >= 2:
                 lo, hi = sorted((sd[i], sd[j]))
-                if lo != 1 or hi < k:
+                if lo != 1 or hi < row[j]:
                     return False
-    return True
+    # a forest: its edges number its vertices less its connected components
+    seen, parts = [False] * v, 0
+    for i in range(v):
+        if not seen[i]:
+            _reach(a, i, seen)
+            parts += 1
+    return sum(map(len, neighbours)) == 2 * (v - parts)

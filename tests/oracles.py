@@ -21,7 +21,7 @@ from typing import Iterator
 from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, subset_str
 from z2quiver.freeprod import CharacterMultiset, rep2_values
 from z2quiver.localquiver import DegenerationGraph, LocalSetting, local_quiver_rows, smooth_point
-from z2quiver.quiver import _is_oriented_cycle
+from z2quiver.quiver import Quiver, QuiverSetting, UnsupportedInputError, support
 
 
 def min_element(a: int) -> int:
@@ -253,12 +253,26 @@ def strongly_connected(a: list[list[int]]) -> bool:
     return covers(lambda i, j: a[i][j]) and covers(lambda i, j: a[j][i])
 
 
+def is_oriented_cycle(a: list[list[int]]) -> bool:
+    """One directed cycle through all v >= 1 vertices of the int arrow rows
+    a, every vertex with exactly one arrow in and one out (a single loop
+    counts as the one-vertex cycle), found by walking the permutation."""
+    if any(sum(row) != 1 for row in a) or any(sum(col) != 1 for col in zip(*a)):
+        return False
+    # a permutation matrix: walk from vertex 0 until the walk comes back
+    cur, steps = a[0].index(1), 1
+    while cur:
+        cur, steps = a[cur].index(1), steps + 1
+    return steps == len(a)
+
+
 def is_simple_support(a: list[list[int]], dims) -> bool:
-    """quiver._is_simple_support with strongly_connected and the Euler
-    inequalities summed over vertex indices."""
+    """quiver._is_simple_support with the cycle walk before the search,
+    strongly_connected and the Euler inequalities summed over vertex
+    indices."""
     if len(dims) == 1:
         return a[0][0] >= 2 or dims[0] == 1
-    if _is_oriented_cycle(a):
+    if is_oriented_cycle(a):
         return all(x == 1 for x in dims)
     if not strongly_connected(a):
         return False
@@ -268,3 +282,83 @@ def is_simple_support(a: list[list[int]], dims) -> bool:
         if x > into or x > out:
             return False
     return True
+
+
+def is_smooth_setting_by_parts(q: Quiver, dims) -> bool:
+    """quiver.is_smooth_setting as one search per connected component of
+    the support, each checking its own edge count, then the vertex rules and
+    the edge rule inside it."""
+    s = support(q, dims)
+    rows = q.arrows.tolist()
+    if rows != [list(col) for col in zip(*rows)]:
+        raise ValueError("smoothness test needs a symmetric quiver")
+    a, sd = s.quiver.arrows.tolist(), s.dims
+    v = len(sd)
+    if any(a[i][i] and sd[i] >= 2 for i in range(v)):
+        raise UnsupportedInputError("smoothness classification does not cover loops at dimension >= 2")
+    neighbours = [[j for j, k in enumerate(row) if k and j != i] for i, row in enumerate(a)]
+
+    seen: set[int] = set()
+    for start in range(v):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in neighbours[i]:
+                if j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        edges = [(i, j) for i in comp for j in neighbours[i] if i < j]
+        if len(edges) != len(comp) - 1:
+            return False  # connected with an extra edge: a cycle
+        for i in comp:
+            deg = len(neighbours[i])
+            if deg >= 3 and sd[i] != 1:
+                return False
+            if deg == 2 and sd[i] >= 2:
+                if any(a[i][j] != 1 for j in neighbours[i]):
+                    return False
+                if sd[i] >= 3 and all(sd[j] != 1 for j in neighbours[i]):
+                    return False
+        for i, j in edges:
+            k = a[i][j]
+            if k >= 2:
+                lo, hi = sorted((sd[i], sd[j]))
+                if lo != 1 or hi < k:
+                    return False
+    return True
+
+
+def character_sums(alpha: DimVector) -> Iterator[CharacterMultiset]:
+    """Every character sum with dimension vector alpha, once each: the
+    multisets of subsets A of {1..n} with multiplicities e_A summing to m,
+    those containing i to a_i-.  The characters are drawn in ascending mask
+    order, each while every pair still has room on its side."""
+    n, plus, minus = alpha.n, [p for p, _ in alpha.pairs], [q for _, q in alpha.pairs]
+
+    def grow(start: int, drawn: list[int]) -> Iterator[CharacterMultiset]:
+        if not any(plus) and not any(minus):
+            yield CharacterMultiset(n, tuple((a, len(list(run))) for a, run in itertools.groupby(drawn)))
+            return
+        for a in range(start, 1 << n):
+            side = [minus if a >> i & 1 else plus for i in range(n)]
+            if all(room[i] for i, room in enumerate(side)):
+                for i, room in enumerate(side):
+                    room[i] -= 1
+                yield from grow(a, drawn + [a])
+                for i, room in enumerate(side):
+                    room[i] += 1
+
+    if alpha.m:
+        yield from grow(0, [])
+
+
+def sum_local_quiver(c: CharacterMultiset) -> QuiverSetting:
+    """The local quiver at the character sum c: its characters with their
+    multiplicities as dims, |A delta B| - 1 arrows each way between two of
+    them, and no loops."""
+    masks, mults = zip(*c.counts)
+    return QuiverSetting(Quiver([[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]), mults)

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import character_sum, components, hamming_grid, is_chain, one_quiver_euler_recursive, rep2_census
+from oracles import (
+    character_sum,
+    character_sums,
+    components,
+    hamming_grid,
+    is_chain,
+    one_quiver_euler_recursive,
+    rep2_census,
+    sum_local_quiver,
+)
 
 from z2quiver import freeprod
 from z2quiver.combinat import DimVector, bn_canonicalize, full_mask, multiset_coeff, parse_dim_vector
@@ -27,10 +36,11 @@ from z2quiver.freeprod import (
     orbit_count,
     orbit_representatives,
     parse_characters,
+    rep2_values,
     simple_alpha_report,
     treelike_census,
 )
-from z2quiver.quiver import Quiver, is_simple_dimvector
+from z2quiver.quiver import Quiver, is_simple_dimvector, is_smooth_setting
 
 TOO_LONG = f" has more than {freeprod.MAX_COUNT_DIGITS} digits"
 
@@ -742,6 +752,56 @@ class TestIssSmooth:
     def test_exactly_the_orbit_family(self, n, m):
         for alpha in components(n, m):
             assert is_iss_smooth(alpha) == orbit_hits_family(alpha), str(alpha)
+
+
+def is_smooth_at(c: CharacterMultiset) -> bool:
+    s = sum_local_quiver(c)
+    return is_smooth_setting(s.quiver, s.dims)
+
+
+def local_type(c: CharacterMultiset) -> str:
+    """The local quiver at c as 'd <=k=> e' if it has two vertices, else its repr."""
+    s = sum_local_quiver(c)
+    return f"{s.dims[0]} <={s.quiver.arrows[0, 1]}=> {s.dims[1]}" if s.quiver.v == 2 else repr(s)
+
+
+class TestSmoothAtEverySum:
+    """is_iss_smooth and rep2_values against the character sums of a
+    component and Bocklandt's block rules on their local quivers.  The check
+    is empirical: it visits only the semisimple points whose simple summands
+    all have dimension 1."""
+
+    def test_character_sums_have_the_dimension_vector(self):
+        for n, m in ((1, 3), (2, 2), (3, 2), (3, 3)):
+            for alpha in components(n, m):
+                sums = list(character_sums(alpha))
+                assert all(c.dim_vector() == alpha for c in sums) and len(set(sums)) == len(sums)
+                assert chain_of(alpha) in sums
+        # {}+{1,2}, {1}+{2}: the two sums of (1,1);(1,1)
+        assert {str(c) for c in character_sums(DimVector(((1, 1), (1, 1))))} == {"{}+{1,2}", "{1}+{2}"}
+
+    def test_component_smooth_exactly_when_every_sum_is(self):
+        reps = [(n, m) for n in range(1, 5) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
+        seen = smooth = points = 0
+        for n, m in reps:
+            for alpha in orbit_representatives(n, m):
+                sums = list(character_sums(alpha))
+                assert is_iss_smooth(alpha) == all(map(is_smooth_at, sums)), str(alpha)
+                seen, smooth, points = seen + 1, smooth + is_iss_smooth(alpha), points + len(sums)
+        assert (seen, smooth, points) == (203, 115, 3856)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rep2_values_read_off_the_sums(self, n):
+        for k in range(n + 1):
+            alpha = DimVector(((1, 1),) * k + ((2, 0),) * (n - k))
+            singular = [c for c in character_sums(alpha) if not is_smooth_at(c)]
+            types = {local_type(c) for c in singular}
+            assert rep2_values(k) == (
+                sum(2 * p * q for p, q in alpha.pairs),
+                iss_dim(alpha) if is_simple_alpha(alpha) else 0,
+                len(singular),
+                types.pop() if types else None,
+            ) and not types, (n, k)
 
 
 class TestRep2:

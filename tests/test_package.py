@@ -184,3 +184,11 @@ def test_one_owner_per_format():
     assert all(not modules & {"csv", "json"} for modules in imports.values()), imports
     # the matrix is stored through Frozen._set, not a setter of its own
     assert all("_store_arrows" not in source for source in sources.values())
+
+
+def test_oracles_import_no_private_name():
+    # a reference that borrows the code it checks checks nothing
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    borrowed = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "z2quiver" for alias in node.names]
+    assert borrowed and not [name for name in borrowed if name.startswith("_")], borrowed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import is_simple_support, strongly_connected
+from oracles import is_simple_support, is_smooth_setting_by_parts, strongly_connected
 
 from z2quiver.freeprod import build_one_quiver, build_Qn
 from z2quiver.quiver import (
@@ -106,6 +106,16 @@ class TestQuiverBasics:
         assert Quiver(np.array([[0, 2], [2, 0]], dtype=np.uint8)) == pair_quiver(2)
         assert Quiver([]).v == 0
         assert Quiver([[True]]).arrows.tolist() == [[1]]
+
+    def test_non_square_empty_input_refused(self):
+        # only [] is the empty quiver: a 3 x 0, a 1 x 1 x 0 or a 0 x 5 input is not square
+        for arrows in ([[], [], []], [[[]]], np.zeros((0, 5))):
+            with pytest.raises(ValueError, match="must be square"):
+                Quiver(arrows)
+        # the shape is read before the dtype
+        with pytest.raises(ValueError, match="must be square"):
+            Quiver([[1.5, 2]])
+        assert Quiver(np.zeros((0, 0))).v == 0
 
     def test_json_roundtrip(self):
         q = build_Qn(3)
@@ -427,6 +437,33 @@ class TestIsSmoothSetting:
     def test_loops_outside_support_ignored(self):
         q = Quiver([[2, 0], [0, 0]])
         assert is_smooth_setting(q, (0, 3))
+
+    def test_matches_the_per_component_search(self):
+        # every symmetric quiver on v <= 4 vertices with 0-2 arrows off the
+        # diagonal; for v <= 3 with 0-2 loops at dims 0-3, for v = 4 loop-free
+        # at dims 1-3: 106 149 settings, a third of them refused for loops
+        refused = 0
+        for v in range(1, 5):
+            pairs = list(itertools.combinations(range(v), 2))
+            loop_counts, dim_values = ((range(3), range(4)) if v <= 3 else ((0,), range(1, 4)))
+            for off in itertools.product(range(3), repeat=len(pairs)):
+                for loops in itertools.product(loop_counts, repeat=v):
+                    a = [[0] * v for _ in range(v)]
+                    for (i, j), k in zip(pairs, off):
+                        a[i][j] = a[j][i] = k
+                    for i, k in enumerate(loops):
+                        a[i][i] = k
+                    q = Quiver(a)
+                    for dims in itertools.product(dim_values, repeat=v):
+                        try:
+                            want = is_smooth_setting_by_parts(q, dims)
+                        except UnsupportedInputError:
+                            with pytest.raises(UnsupportedInputError):
+                                is_smooth_setting(q, dims)
+                            refused += 1
+                            continue
+                        assert is_smooth_setting(q, dims) == want, (a, dims)
+        assert refused == 33076
 
 
 def test_simple_settings_brute_force_cross_check():
