@@ -171,7 +171,8 @@ class Frozen:
     that make up its value in _fields and lists them, with any other
     attribute, in __slots__.  Its __init__ checks the caller's values and
     stores them with _set; the library stores values it has already checked
-    with object.__new__(cls)._set(...).  Equality holds only within one class,
+    with object.__new__(cls)._set(...), or, where a hot path builds one per
+    call, sets the fields and _value directly.  Equality holds only within one class,
     the hash is hash() of the tuple of the _fields, the repr reads
     Name(field=value, ...) and assigning or deleting an attribute raises
     AttributeError."""

@@ -35,6 +35,17 @@ if TYPE_CHECKING:
 # A setting's class label: its (size, k) block pairs in descending order.
 Label = tuple[tuple[int, int], ...]
 
+# The quiver module, bound by _load_quiver on first use: graph and local never load it, or numpy.
+_quiver = None
+
+
+def _load_quiver():
+    """Import the quiver module, bind it as _quiver and return it."""
+    global _quiver
+    from . import quiver as _quiver
+
+    return _quiver
+
 
 class LocalSetting(Frozen):
     """One local quiver setting (A_1..A_l; k_1..k_l) for the level-m
@@ -127,14 +138,6 @@ def _check_level(n: int, m: int) -> tuple[int, int]:
     return n, m
 
 
-def _label_key(label: Label) -> tuple:
-    """The node order, sorted by this key in reverse: total k descending,
-    then fewer blocks, coarser diagrams and larger k first.  Distinct labels
-    have distinct keys."""
-    sizes, ks = zip(*label)
-    return sum(ks), -len(ks), sizes, ks
-
-
 def _run_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Runs 1..s1, s1+1..s1+s2, ... as blocks, in canonical order for descending sizes."""
     return tuple(full_mask(size) << start for size, start in zip(sizes, itertools.accumulate(sizes, initial=0)))
@@ -146,24 +149,32 @@ def _setting(n: int, m: int, label: Label) -> LocalSetting:
     return _store(object.__new__(LocalSetting), n, m, _run_blocks(sizes), sizes, ks)
 
 
-def _diagram_ks(m: int, sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The k-tuples of the settings on one Young diagram (sizes weakly
-    decreasing): one weakly decreasing k-multiset per row class, kept when
-    sum k <= m."""
-    per_class = [
-        list(itertools.combinations_with_replacement(range(size, 0, -1), len(list(group))))
-        for size, group in itertools.groupby(sizes)
-    ]
-    for choice in itertools.product(*per_class):
-        ks = tuple(k for ks in choice for k in ks)
-        if sum(ks) <= m:
-            yield ks
+def _diagram_ks(m: int, sizes: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(sum k, k-tuple) for the settings on one Young diagram (sizes weakly
+    decreasing): one weakly decreasing k-multiset per row class, each k
+    within its row.  The tuples grow one row class at a time, and only while
+    sum k leaves k = 1 for each later row, so every partial tuple ends in a
+    setting: the work follows the output, not the product of the classes."""
+    partial = [(0, ())]
+    rest = len(sizes)
+    for size, group in itertools.groupby(sizes):
+        r = len(list(group))
+        rest -= r
+        cap = m - rest  # the most sum k may be after this class
+        multisets = itertools.combinations_with_replacement(range(min(size, cap - r + 1), 0, -1), r)
+        options = [(sum(c), c) for c in multisets]
+        partial = [(total + x, ks + c) for total, ks in partial for x, c in options if total + x <= cap]
+    return partial
 
 
 def _labels(n: int, m: int) -> list[Label]:
-    """The labels of all settings of a checked level, in node order."""
-    labels = (tuple(zip(sizes, ks)) for sizes in partitions_of_int(n) for ks in _diagram_ks(m, sizes))
-    return sorted(labels, key=_label_key, reverse=True)
+    """The labels of all settings of a checked level, in node order: sorted
+    in reverse by (sum k, -number of blocks, sizes, k), so total k
+    descending, then fewer blocks, coarser diagrams and larger k first.
+    Distinct labels have distinct keys."""
+    keys = [(total, -len(sizes), sizes, ks) for sizes in partitions_of_int(n) for total, ks in _diagram_ks(m, sizes)]
+    keys.sort(reverse=True)
+    return [tuple(zip(sizes, ks)) for _, _, sizes, ks in keys]
 
 
 def enumerate_settings(n: int, m: int) -> list[LocalSetting]:
@@ -195,18 +206,15 @@ def local_quiver_rows(s: LocalSetting, reduced: bool = False) -> tuple[list[list
     reduced, those of its support: the trivial-character vertex is left out
     when its dimension m - sum(k) is 0."""
     sizes, ks = s.sizes, s.k
-    l = s.l
-    v0 = s.m - s.k_total
+    l = len(ks)
+    v0 = s.m - sum(ks)
     spokes = [sz - k for sz, k in zip(sizes, ks)]
-    with_psi0 = v0 > 0 or (any(spokes) and not reduced)
-    rows = [
-        [
-            (k - 1) * (2 * sz - k - 1) if i == j else sz * kj + szj * k - k * kj
-            for j, (szj, kj) in enumerate(zip(sizes, ks))
-        ]
-        for i, (sz, k) in enumerate(zip(sizes, ks))
-    ]
-    if not with_psi0:
+    pairs = list(zip(sizes, ks))
+    # off the diagonal, |A_i|k_j + |A_j|k_i - k_ik_j = (|A_i| - k_i)k_j + |A_j|k_i
+    rows = [[spoke * kj + szj * k for szj, kj in pairs] for spoke, k in zip(spokes, ks)]
+    for i, (sz, k) in enumerate(pairs):
+        rows[i][i] = (k - 1) * (2 * sz - k - 1)
+    if not (v0 > 0 or (any(spokes) and not reduced)):
         return rows, (1,) * l
     for row, spoke in zip(rows, spokes):
         row.append(spoke)
@@ -221,18 +229,17 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     dimension m - sum(k) joined to block i by |A_i|-k_i arrows each way.
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
-    from .quiver import Quiver, QuiverSetting, _int_matrix
-
-    rows, dims = local_quiver_rows(s)  # from a checked label: square rows of nonnegative ints, as Quiver checks
-    return object.__new__(QuiverSetting)._set(object.__new__(Quiver)._set(_int_matrix(rows)), dims)
+    # from a checked label: square rows of nonnegative ints, as Quiver checks
+    return (_quiver or _load_quiver())._quiver_setting(*local_quiver_rows(s))
 
 
 def local_euler_matrix(s: LocalSetting):
     """Euler matrix of local_quiver(s), a read-only int64 ndarray: identity minus its arrows."""
-    from .quiver import _int_matrix
-
     rows, _ = local_quiver_rows(s)
-    return _int_matrix([[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(rows)])
+    for i, row in enumerate(rows):  # the rows are fresh: negate them in place
+        row[:] = [-a for a in row]
+        row[i] += 1
+    return (_quiver or _load_quiver())._int_matrix(rows)
 
 
 def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
@@ -249,8 +256,7 @@ def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:
     the ground set, so every s-block holds one; and t's largest block no
     larger than s's, as it must fit in one s-block.  These refuse 76% of
     the ordered class pairs with n <= 10 in O(l) time; _packs decides the
-    rest.  Over all 305 462 ordered class pairs with n <= 9 a call averages
-    about 3 us on a 2-core x86-64 VM, against 7-9 us for the search alone."""
+    rest."""
     if (s.n, s.m) != (t.n, t.m):
         raise ValueError("settings must share the same n and m")
     if sum(t.k) > sum(s.k) or len(t.k) < len(s.k) or t.sizes[0] > s.sizes[0]:
@@ -329,7 +335,7 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
                 part_b &= part_b - 1
             new = [(s_a, k_a, low, block ^ part_b), (s_b, k_b, -(part_b & -part_b), part_b)]
         sizes, ks, _, blocks = zip(*sorted(order[:i] + new + order[i + 1 :], reverse=True))
-        # _label_key of the target's label; distinct targets have distinct keys
+        # the target's key in the node order of _labels; distinct targets have distinct keys
         key = (sum(ks), -len(ks), sizes, ks)
         moves.append((key, _store(object.__new__(LocalSetting), s.n, s.m, blocks, sizes, ks)))
     moves.sort(key=operator.itemgetter(0), reverse=True)
@@ -384,7 +390,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
     shape = tuple(sorted(check_ints(sizes, "diagram sizes"), reverse=True))
     if sum(shape) != n or any(x < 1 for x in shape):
         raise ValueError(f"{int_text(sizes)} is not a diagram of {n}")
-    ktuples = sorted(_diagram_ks(m, shape), key=lambda ks: (sum(ks), ks), reverse=True)
+    ktuples = [ks for _, ks in sorted(_diagram_ks(m, shape), reverse=True)]
     index = {ks: i for i, ks in enumerate(ktuples)}
     edges = [
         (i, index[ks[:j] + (ks[j] - 1,) + ks[j + 1 :]])

@@ -135,10 +135,22 @@ def _support_rows(rows: list[list[int]], d: tuple[int, ...]) -> tuple[list[list[
     return [[rows[i][j] for j in keep] for i in keep], tuple(d[i] for i in keep)
 
 
+def _quiver_setting(rows, dims: tuple[int, ...]) -> QuiverSetting:
+    """The QuiverSetting of square rows of nonnegative ints and one dimension
+    per row, both checked by the caller.  Its fields are set directly, not
+    through _set: local_quiver builds one per call."""
+    q, s, init = object.__new__(Quiver), object.__new__(QuiverSetting), object.__setattr__
+    init(q, "arrows", _int_matrix(rows))
+    init(q, "_value", (q.arrows,))
+    init(s, "quiver", q)
+    init(s, "dims", dims)
+    init(s, "_value", (q, dims))
+    return s
+
+
 def support(q: Quiver, dims) -> QuiverSetting:
     """Full subquiver on the vertices with nonzero dimension."""
-    rows, d = _support_rows(q.arrows.tolist(), _check_dims(q, dims))
-    return object.__new__(QuiverSetting)._set(object.__new__(Quiver)._set(_int_matrix(rows)), d)
+    return _quiver_setting(*_support_rows(q.arrows.tolist(), _check_dims(q, dims)))
 
 
 def is_strongly_connected(q: Quiver) -> bool:
@@ -217,10 +229,10 @@ def is_smooth_setting(q: Quiver, dims) -> bool:
     rows = q.arrows.tolist()
     if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("smoothness test needs a symmetric quiver")
-    a, sd = _support_rows(rows, d)
-    v = len(sd)
-    if any(a[i][i] and sd[i] >= 2 for i in range(v)):
+    if any(row[i] and x >= 2 for i, (row, x) in enumerate(zip(rows, d))):
         raise UnsupportedInputError("smoothness classification does not cover loops at dimension >= 2")
+    a, sd = _support_rows(rows, d) if 0 in d else (rows, d)
+    v = len(sd)
     neighbours = [[j for j, k in enumerate(row) if k and j != i] for i, row in enumerate(a)]
     for x, row, near in zip(sd, a, neighbours):
         if len(near) >= 3 and x != 1:

@@ -4,7 +4,8 @@ Each is the slow, labelled or enumerative route that a closed form or a
 label-level search in the library replaced, kept as an independent oracle:
 set partitions of the ground set, labelled degeneration of settings, the
 (m+1)^n component enumeration, the level-2 census as records, the node
-order as the old Young-label key wrote it, the character quiver's Euler
+order as the old Young-label key wrote it, the labels as the product of
+per-class k-multisets filtered by the level, the character quiver's Euler
 matrix by block doubling, its Hamming distances as one full 4^n grid, the
 chain test on a character sum, a local Euler matrix from outer products,
 the simplicity test on a support with a per-cell strong-connectivity search
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, subset_str
+from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, partitions_of_int, subset_str
 from z2quiver.freeprod import CharacterMultiset, rep2_values
 from z2quiver.localquiver import DegenerationGraph, LocalSetting, local_quiver_rows, smooth_point
 from z2quiver.quiver import Quiver, QuiverSetting, UnsupportedInputError, support
@@ -96,6 +97,23 @@ def young_sort_key(label: tuple[tuple[int, int], ...]) -> tuple:
     descending, then fewer blocks, coarser diagrams and larger k first."""
     sizes, ks = zip(*label)
     return (-sum(ks), len(sizes), tuple(-s for s in sizes), tuple(-k for k in ks))
+
+
+def labels_by_product(n: int, m: int) -> list[tuple[tuple[int, int], ...]]:
+    """The (size, k) labels of the level-m settings over n points in node
+    order: on each Young diagram, every product of one weakly decreasing
+    k-multiset per row class, kept when sum k <= m."""
+    labels = []
+    for sizes in partitions_of_int(n):
+        per_class = [
+            list(itertools.combinations_with_replacement(range(size, 0, -1), len(list(group))))
+            for size, group in itertools.groupby(sizes)
+        ]
+        for choice in itertools.product(*per_class):
+            ks = tuple(k for multiset in choice for k in multiset)
+            if sum(ks) <= m:
+                labels.append(tuple(zip(sizes, ks)))
+    return sorted(labels, key=young_sort_key)
 
 
 def one_quiver_euler_recursive(n: int) -> list[list[int]]:

@@ -10,6 +10,7 @@ from oracles import (
     degenerates,
     enumerate_set_partitions,
     graph_json_obj,
+    labels_by_product,
     local_euler_outer,
     min_element,
     setting_json_obj,
@@ -201,6 +202,12 @@ class TestEnumerateSettings:
                         if sum(sum(ks) for ks in choice) <= m:
                             expected += 1
                 assert len(enumerate_settings(n, m)) == expected, (n, m)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_labels_match_the_product_of_class_multisets(self, n):
+        # the pruned enumeration against the full product, filtered by the level
+        for m in range(1, n + 1):
+            assert localquiver._labels(n, m) == labels_by_product(n, m), m
 
     def test_m_above_n_rejected(self):
         with pytest.raises(ValueError, match="simple"):
@@ -631,6 +638,19 @@ class TestDegenerationGraph:
         for _ in range(4000):
             i, j = rng.randrange(k), rng.randrange(k)
             assert bool(reach[i] >> j & 1) == degenerates_class(g.nodes[i], g.nodes[j]), (i, j)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stratum_dimension_falls_along_every_edge(self, n):
+        # a setting's stratum has dimension sum (k_i - 1)(2|A_i| - k_i - 1), the
+        # loops at the block vertices of its local quiver; a degeneration lowers it
+        for m in range(1, n + 1):
+            g = degeneration_graph(n, m)
+            strata = []
+            for s in g.nodes:
+                rows, _ = local_quiver_rows(s)
+                strata.append(sum(rows[i][i] for i in range(s.l)))
+            assert strata[0] == (m - 1) * (2 * n - m - 1) == iss_dim(DimVector.standard(n, m)), m
+            assert all(strata[i] > strata[j] for i, j in g.edges), m
 
     def test_constructor_checks_and_stores_tuples(self):
         g = degeneration_graph(4, 3)

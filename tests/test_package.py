@@ -182,8 +182,19 @@ def test_one_owner_per_format():
     imports = {name: imported_modules(source) for name, source in sources.items()}
     assert {name for name, modules in imports.items() if "numpy" in modules} == {"quiver.py"}
     assert all(not modules & {"csv", "json"} for modules in imports.values()), imports
-    # the matrix is stored through Frozen._set, not a setter of its own
+    # the matrix has no setter of its own: Frozen._set or quiver._quiver_setting stores it
     assert all("_store_arrows" not in source for source in sources.values())
+
+
+def test_quiver_bound_once_per_module():
+    # a function-level relative import resolves the package on every call
+    package = pathlib.Path(z2quiver.__file__).parent
+    for name in ("localquiver.py", "freeprod.py"):
+        tree = ast.parse((package / name).read_text())
+        per_call = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    for inner in ast.walk(node) if isinstance(inner, ast.ImportFrom)
+                    and inner.level == 1 and inner.module == "quiver"]
+        assert not per_call, (name, per_call)
 
 
 def test_oracles_import_no_private_name():
