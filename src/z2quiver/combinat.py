@@ -168,36 +168,43 @@ def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
 
 class Frozen:
     """Base of the immutable value classes.  A subclass names the fields
-    that make up its value in _fields and lists them, with any other
-    attribute, in __slots__.  Its __init__ checks the caller's values and
-    stores them with _set; the library stores values it has already checked
-    with object.__new__(cls)._set(...), or, where a hot path builds one per
-    call, sets the fields and _value directly.  Equality holds only within one class,
+    that make up its value in _fields and lists them, then any other
+    attribute, in __slots__; the slots are the one copy of every field.
+    Its __init__ checks the caller's values and stores them with _set; the
+    library stores values it has already checked with
+    object.__new__(cls)._set(...).  Equality holds only within one class,
     the hash is hash() of the tuple of the _fields, the repr reads
     Name(field=value, ...) and assigning or deleting an attribute raises
     AttributeError."""
 
-    __slots__ = ("_value",)
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        # each slot's own setter, which Frozen.__setattr__ does not reach
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _astuple(self) -> tuple:
+        """The value: the _fields slots as a tuple."""
+        return tuple([getattr(self, name) for name in self._fields])
+
     def __eq__(self, other):
-        return self._value == other._value if other.__class__ is self.__class__ else NotImplemented
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._value)
+        return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._value
+        return type(self), self._astuple()
 
     def _set(self, *values):
-        """Set the _fields to values, unchecked, and _value to their tuple; return self."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_value", values)
+        """Store values, unchecked, in the class's __slots__ in order; return self."""
+        for store, value in zip(self._setters, values):
+            store(self, value)
         return self
 
     def __setattr__(self, name: str, value) -> None:

@@ -14,6 +14,10 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Iterator
 
+# quiver is reached as z2quiver.quiver, which the package imports on first use:
+# the census commands never load it, or numpy.
+import z2quiver
+
 from .combinat import (
     MAX_COUNT_DIGITS,
     DimVector,
@@ -37,25 +41,13 @@ MAX_ORBIT_PAIRS = 10**6
 # Largest n whose 2**n x 2**n character-quiver matrices are built.
 MAX_ONE_QUIVER_GROUND = 12
 
-# The quiver module, bound by _load_quiver on first use: the census commands never load it, or numpy.
-_quiver = None
-
-
-def _load_quiver():
-    """Import the quiver module, bind it as _quiver and return it."""
-    global _quiver
-    from . import quiver as _quiver
-
-    return _quiver
-
-
 def build_Qn(n: int) -> Quiver:
     """The 2n-vertex quiver with one arrow from each of the two level-1
     vertices (1+, 1-) to every vertex i+/- with i >= 2; 4(n-1) arrows."""
     n = check_ground(n)
     if n < 2:
         raise ValueError(f"need n >= 2 vertex pairs, got {n}")
-    return (_quiver or _load_quiver()).Quiver([[0, 0] + [1] * (2 * n - 2)] * 2 + [[0] * (2 * n)] * (2 * n - 2))
+    return z2quiver.quiver.Quiver([[0, 0] + [1] * (2 * n - 2)] * 2 + [[0] * (2 * n)] * (2 * n - 2))
 
 
 def _check_census(n: int, m: int) -> tuple[int, int]:
@@ -124,7 +116,7 @@ def _hamming_matrix(n: int, cell):
     """cell(popcount(i ^ j)) at (i, j), a fresh read-only int64 ndarray joined
     one row block at a time from hamming_split: no 4**n intermediate."""
     n = check_one_quiver(n)
-    q = _quiver or _load_quiver()
+    q = z2quiver.quiver
     cells = [cell(d) for d in range(n + 1)]
     blocks = hamming_split(n, lambda rows: q._int_matrix([[cells[d] for d in ds] for ds in rows]))
     return q._join_blocks(1 << n, blocks)
@@ -134,7 +126,7 @@ def build_one_quiver(n: int) -> Quiver:
     """The quiver on the 2**n characters (vertices ordered by bitmask, the
     empty set first): |A delta B| - 1 arrows each way when that is positive,
     no loops."""
-    return object.__new__((_quiver or _load_quiver()).Quiver)._set(_hamming_matrix(n, lambda d: max(d - 1, 0)))
+    return object.__new__(z2quiver.quiver.Quiver)._set(_hamming_matrix(n, lambda d: max(d - 1, 0)))
 
 
 def one_quiver_euler_closed(n: int):
@@ -314,7 +306,7 @@ def is_simple_alpha_oracle(alpha: DimVector) -> bool:
     support alone never builds the 4**n matrix of build_one_quiver."""
     masks, beta = zip(*chain_of(alpha).counts)
     rows = [[((a ^ b).bit_count() or 1) - 1 for b in masks] for a in masks]
-    return (_quiver or _load_quiver())._is_simple_support(rows, beta)
+    return z2quiver.quiver._is_simple_support(rows, beta)
 
 
 def iss_dim(alpha: DimVector) -> int:

@@ -16,6 +16,10 @@ import itertools
 import operator
 from typing import TYPE_CHECKING, Iterator
 
+# quiver is reached as z2quiver.quiver, which the package imports on first use:
+# graph and local never load it, or numpy.
+import z2quiver
+
 from .combinat import (
     Frozen,
     capped_count,
@@ -34,18 +38,6 @@ if TYPE_CHECKING:
 
 # A setting's class label: its (size, k) block pairs in descending order.
 Label = tuple[tuple[int, int], ...]
-
-# The quiver module, bound by _load_quiver on first use: graph and local never load it, or numpy.
-_quiver = None
-
-
-def _load_quiver():
-    """Import the quiver module, bind it as _quiver and return it."""
-    global _quiver
-    from . import quiver as _quiver
-
-    return _quiver
-
 
 class LocalSetting(Frozen):
     """One local quiver setting (A_1..A_l; k_1..k_l) for the level-m
@@ -109,7 +101,7 @@ class LocalSetting(Frozen):
 
 def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tuple[int, ...],
            ks: tuple[int, ...]) -> LocalSetting:
-    """Set s's fields to a setting given in canonical order, and return s.
+    """Store a setting given in canonical order in s with _set, and return s.
 
     Only the label is checked: 1 <= k_i <= |A_i|, sum k <= m <= n and
     sum |A_i| = n.  That the blocks are a disjoint cover of {1..n} with the
@@ -118,14 +110,7 @@ def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tupl
     split of a checked block."""
     if not (sum(sizes) == n and sum(ks) <= m <= n and min(ks) >= 1 and all(map(operator.le, ks, sizes))):
         raise ValueError(f"not a setting label for n={n}, m={m}: sizes {sizes}, k {ks}")
-    init = object.__setattr__  # set directly, not through _set: the moves and slices store many settings
-    init(s, "n", n)
-    init(s, "m", m)
-    init(s, "blocks", blocks)
-    init(s, "k", ks)
-    init(s, "sizes", sizes)
-    init(s, "_value", (n, m, blocks, ks))
-    return s
+    return s._set(n, m, blocks, ks, sizes)
 
 
 def _check_level(n: int, m: int) -> tuple[int, int]:
@@ -230,7 +215,7 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     The extra vertex appears only when it has dimension or arrows; it may
     carry dimension 0, in which case support() removes it."""
     # from a checked label: square rows of nonnegative ints, as Quiver checks
-    return (_quiver or _load_quiver())._quiver_setting(*local_quiver_rows(s))
+    return z2quiver.quiver._quiver_setting(*local_quiver_rows(s))
 
 
 def local_euler_matrix(s: LocalSetting):
@@ -239,7 +224,7 @@ def local_euler_matrix(s: LocalSetting):
     for i, row in enumerate(rows):  # the rows are fresh: negate them in place
         row[:] = [-a for a in row]
         row[i] += 1
-    return (_quiver or _load_quiver())._int_matrix(rows)
+    return z2quiver.quiver._int_matrix(rows)
 
 
 def degenerates_class(s: LocalSetting, t: LocalSetting) -> bool:

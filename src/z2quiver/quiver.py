@@ -137,15 +137,8 @@ def _support_rows(rows: list[list[int]], d: tuple[int, ...]) -> tuple[list[list[
 
 def _quiver_setting(rows, dims: tuple[int, ...]) -> QuiverSetting:
     """The QuiverSetting of square rows of nonnegative ints and one dimension
-    per row, both checked by the caller.  Its fields are set directly, not
-    through _set: local_quiver builds one per call."""
-    q, s, init = object.__new__(Quiver), object.__new__(QuiverSetting), object.__setattr__
-    init(q, "arrows", _int_matrix(rows))
-    init(q, "_value", (q.arrows,))
-    init(s, "quiver", q)
-    init(s, "dims", dims)
-    init(s, "_value", (q, dims))
-    return s
+    per row, both checked by the caller, stored without a second check."""
+    return object.__new__(QuiverSetting)._set(object.__new__(Quiver)._set(_int_matrix(rows)), dims)
 
 
 def support(q: Quiver, dims) -> QuiverSetting:

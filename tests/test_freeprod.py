@@ -690,7 +690,7 @@ def assert_as_constructed(v) -> None:
     """v equals what its validating constructor builds from v's fields, down
     to the type of every field: list for tuple or bool for int would change
     the repr."""
-    rebuilt = type(v)(*v._value)
+    rebuilt = DimVector(v.pairs) if isinstance(v, DimVector) else CharacterMultiset(v.n, v.counts)
     assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
 
 

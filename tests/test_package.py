@@ -3,9 +3,10 @@
 `z2quiver` binds its public names on the first one looked up; the names, the
 objects and a star import must be those of an eager import.  The value
 classes share `combinat.Frozen`: their repr text, hash, equality, order and
-immutability are pinned here as a frozen record class gave them.  Each format
-has one owner: only `quiver` imports numpy, and JSON and CSV are written as
-text.
+immutability are pinned here as a frozen record class gave them, and each
+value's slots are its one copy of its fields, stored by `Frozen._set`.  Each
+format has one owner: only `quiver` imports numpy, and JSON and CSV are
+written as text.
 """
 
 import ast
@@ -13,6 +14,7 @@ import copy
 import importlib
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
@@ -21,6 +23,7 @@ import pytest
 import z2quiver
 from z2quiver import (
     CharacterMultiset,
+    DegenerationGraph,
     DimVector,
     LocalSetting,
     Quiver,
@@ -166,6 +169,49 @@ class TestFrozen:
             QuiverSetting(Quiver([[0]]), (-1,))
 
 
+# each value class built by its checking constructor
+CHECKED = [
+    lambda: DimVector(((2, 1), (1, 2))),
+    lambda: CharacterMultiset(3, ((2, 1), (1, 1))),
+    lambda: LocalSetting(3, 3, (4, 3), (1, 2)),
+    lambda: Quiver([[1, 2], [2, 0]]),
+    lambda: QuiverSetting(Quiver([[1, 2], [2, 0]]), (1, 1)),
+    lambda: DegenerationGraph(2, 1, (LocalSetting(2, 1, (3,), (1,)),), ()),
+]
+
+
+@pytest.mark.parametrize("build", CHECKED, ids=[*IDS[:3], "Quiver", *IDS[3:]])
+def test_trusted_store_matches_the_checked_constructor(build):
+    v = build()
+    cls = type(v)
+    # the slots of the class and its bases are its own __slots__: no second copy of a field
+    assert [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())] == list(cls.__slots__)
+    trusted = object.__new__(cls)._set(*(getattr(v, name) for name in cls.__slots__))
+    assert trusted == v and hash(trusted) == hash(v) and repr(trusted) == repr(v)
+    assert all(getattr(trusted, name) is getattr(v, name) for name in cls.__slots__)
+    assert not hasattr(trusted, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(trusted)), copy.copy(trusted), copy.deepcopy(trusted)):
+        assert type(twin) is cls and twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+
+
+def library_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in pathlib.Path(z2quiver.__file__).parent.glob("*.py")}
+
+
+def test_one_store_per_value():
+    # the slots hold every field once, and Frozen._set is the one way to store them
+    for name, source in library_sources().items():
+        assert "object.__setattr__" not in source, name
+        assert not re.search(r"\b_value\b", source), name
+
+
+def test_source_parses_on_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10.  This checks syntax only: a
+    # standard-library name new in 3.11 still parses, and is not caught here.
+    for name, source in library_sources().items():
+        ast.parse(source, filename=name, feature_version=(3, 10))
+
+
 def imported_modules(source: str) -> set[str]:
     """The top-level names of the absolute imports anywhere in source."""
     names = set()
@@ -178,11 +224,11 @@ def imported_modules(source: str) -> set[str]:
 
 
 def test_one_owner_per_format():
-    sources = {path.name: path.read_text() for path in pathlib.Path(z2quiver.__file__).parent.glob("*.py")}
+    sources = library_sources()
     imports = {name: imported_modules(source) for name, source in sources.items()}
     assert {name for name, modules in imports.items() if "numpy" in modules} == {"quiver.py"}
     assert all(not modules & {"csv", "json"} for modules in imports.values()), imports
-    # the matrix has no setter of its own: Frozen._set or quiver._quiver_setting stores it
+    # the matrix has no setter of its own: Frozen._set stores it
     assert all("_store_arrows" not in source for source in sources.values())
 
 
@@ -195,6 +241,23 @@ def test_quiver_bound_once_per_module():
                     for inner in ast.walk(node) if isinstance(inner, ast.ImportFrom)
                     and inner.level == 1 and inner.module == "quiver"]
         assert not per_call, (name, per_call)
+        # nor a loader of its own: the package imports quiver on first use
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_load_quiver" not in defined, name
+
+
+def test_submodule_import_reaches_quiver_through_the_package():
+    probe = (
+        "from z2quiver.localquiver import enumerate_settings, local_quiver\n"
+        "first = [local_quiver(s) for s in enumerate_settings(4, 3)]\n"
+        "import z2quiver\n"
+        "print(first == [z2quiver.local_quiver(s) for s in z2quiver.enumerate_settings(4, 3)])\n"
+        "print(repr(first))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    same, text = proc.stdout.splitlines()
+    assert same == "True" and text == repr([local_quiver(s) for s in enumerate_settings(4, 3)])
 
 
 def test_oracles_import_no_private_name():
