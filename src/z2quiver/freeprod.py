@@ -161,8 +161,15 @@ class CharacterMultiset(Frozen):
         return sum(c for _, c in self.counts)
 
     def _minus_counts(self) -> list[int]:
-        """a_i- for each i: the total multiplicity of the characters containing i."""
-        return [sum(c for a, c in self.counts if a >> i & 1) for i in range(self.n)]
+        """a_i- for each i: the total multiplicity of the characters containing i,
+        walking each mask's set bits once, highest first: sum popcount(mask) steps."""
+        minus = [0] * self.n
+        for a, c in self.counts:
+            while a:
+                i = a.bit_length() - 1
+                minus[i] += c
+                a ^= 1 << i
+        return minus
 
     def dim_vector(self) -> DimVector:
         total = self.degree()
@@ -218,11 +225,16 @@ def parse_characters(text: str, n: int | None = None) -> CharacterMultiset:
 def _chain(n: int, minus: list[int], degree: int) -> CharacterMultiset:
     """The chain sum of S_t = {i : minus_i >= t} for t = 1..degree.  S_t only
     changes where t passes a value of minus, so walking the indices by
-    minus descending gives each distinct S_t with its multiplicity in
-    O(n log n) steps, whatever the degree, each mask above the one before."""
+    minus descending, up to the first zero, gives each distinct S_t with its
+    multiplicity in O(n log n) steps, whatever the degree, each mask above
+    the one before.  The order within a tie is irrelevant: the later tied
+    indices append no count, only their bits."""
     counts = []
     mask, top = 0, degree
-    for value, i in sorted(((v, i) for i, v in enumerate(minus) if v), reverse=True):
+    for i in sorted(range(n), key=minus.__getitem__, reverse=True):
+        value = minus[i]
+        if not value:
+            break
         if value < top:
             counts.append((mask, top - value))  # S_t for value < t <= top
             top = value

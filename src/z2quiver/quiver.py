@@ -180,6 +180,11 @@ def is_simple_dimvector(q: Quiver, dims) -> bool:
     connected with euler_form(dims, e_i) <= 0 and euler_form(e_i, dims) <= 0
     at every support vertex.  The arithmetic is in exact integers, so any
     dimensions are decided correctly.
+
+    Two steps of the test are skipped where they cannot fail: the
+    inequalities hold by themselves at a vertex of the least support
+    dimension, once the support is strongly connected, and a symmetric
+    support needs only the search along its arrows.
     """
     d = _check_dims(q, dims)
     if not any(d):
@@ -189,18 +194,26 @@ def is_simple_dimvector(q: Quiver, dims) -> bool:
 
 def _is_simple_support(a: list[list[int]], dims) -> bool:
     """is_simple_dimvector on the int arrow rows a of a support and its
-    positive dims."""
+    positive dims.
+
+    A symmetric support needs one search: reversing its arrows gives the
+    same arrows, so the search against them reaches what the one along
+    them does.
+    A vertex of the least dimension needs no Euler sums: in a strongly
+    connected support of >= 2 vertices it has an arrow in from another
+    vertex and one out to another, each weighing at least min(dims)."""
     if len(dims) == 1:
         return a[0][0] >= 2 or dims[0] == 1
-    cols = list(zip(*a))
-    if not (_reaches_all(a) and _reaches_all(cols)):  # strongly connected
+    cols = list(map(list, zip(*a)))
+    if not (_reaches_all(a) and (cols == a or _reaches_all(cols))):  # strongly connected
         return False
     # every vertex has an arrow out and one in, so v arrows in all make exactly one each: an oriented cycle
     if sum(map(sum, a)) == len(a):
         return all(x == 1 for x in dims)
-    # the Euler inequalities: dims_i <= the dims-weighted arrows into i, and out of i
+    # the Euler inequalities above the least dimension: dims_i <= the dims-weighted arrows into i, and out of i
+    low = min(dims)
     for x, row, col in zip(dims, a, cols):
-        if x > sum(map(operator.mul, dims, col)) or x > sum(map(operator.mul, row, dims)):
+        if x > low and (x > sum(map(operator.mul, dims, col)) or x > sum(map(operator.mul, row, dims))):
             return False
     return True
 

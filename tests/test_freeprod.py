@@ -21,7 +21,7 @@ from oracles import (
 )
 
 from z2quiver import freeprod
-from z2quiver.combinat import DimVector, bn_canonicalize, full_mask, multiset_coeff, parse_dim_vector
+from z2quiver.combinat import MAX_GROUND, DimVector, bn_canonicalize, full_mask, multiset_coeff, parse_dim_vector
 from z2quiver.freeprod import (
     CharacterMultiset,
     build_one_quiver,
@@ -376,6 +376,28 @@ class TestCharacters:
             cm = random_weighted_multiset(rng)
             want = rewrite_randomly(cm, random.Random(case))
             assert cm.canonical() == want == chain_of(cm.dim_vector()), str(cm)
+
+    # each index's membership over the terms is drawn from a few patterns, so
+    # indices tie and some lie in no term; multiplicities reach past 2**63
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_chain_walk_over_the_whole_ground_set(self, data):
+        n = data.draw(st.integers(1, MAX_GROUND))
+        terms = data.draw(st.integers(1, 6))
+        patterns = data.draw(st.lists(st.integers(0, 2**terms - 1), min_size=1, max_size=3))
+        member = data.draw(st.lists(st.sampled_from([0, *patterns]), min_size=n, max_size=n))
+        mult = st.one_of(st.integers(1, 3), st.integers(2**63 - 2, 2**65))
+        counts: dict[int, int] = {}
+        for t, c in enumerate(data.draw(st.lists(mult, min_size=terms, max_size=terms))):
+            mask = sum(1 << i for i, p in enumerate(member) if p >> t & 1)
+            counts[mask] = counts.get(mask, 0) + c
+        cm = character_sum(n, counts)
+        degree = sum(counts.values())
+        minus = [sum(c for a, c in counts.items() if a >> i & 1) for i in range(n)]
+        assert cm.dim_vector().pairs == tuple((degree - x, x) for x in minus)
+        chain = cm.canonical()
+        assert chain == chain_of(cm.dim_vector()) and is_chain(chain)
+        assert_as_constructed(chain)
 
     def test_huge_multiplicities(self):
         big = 10**9

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import is_simple_support, is_smooth_setting_by_parts, strongly_connected
 
@@ -346,6 +346,25 @@ class TestSimpleSupportMatchesOracle:
         a, dims = data
         assert is_strongly_connected(Quiver(a)) == strongly_connected(a)
         assert _is_simple_support(a, dims) == is_simple_support(a, dims)
+
+    # symmetric supports take one search and skip the sums at the least
+    # dimension; least dimension 2 takes that skip above dimension 1.  A
+    # drawn share of empty cells makes sparse supports, where the
+    # inequalities fail, as well as dense ones.
+    @pytest.mark.parametrize("low", [1, 2])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_symmetric_quivers_up_to_nine_vertices(self, low, data):
+        v = data.draw(st.integers(1, 9))
+        cell = st.sampled_from((1, 2, 3) + (0,) * data.draw(st.integers(0, 9)))
+        upper = data.draw(st.lists(cell, min_size=v * (v + 1) // 2, max_size=v * (v + 1) // 2))
+        dims = data.draw(st.lists(st.integers(low, 6), min_size=v, max_size=v))
+        cells = iter(upper)
+        a = [[0] * v for _ in range(v)]
+        for i in range(v):
+            for j in range(i, v):
+                a[i][j] = a[j][i] = next(cells)
+        assert _is_simple_support(a, dims) == is_simple_support(a, dims), (a, dims)
 
 
 def int64_is_simple_dimvector(q: Quiver, dims) -> bool:
