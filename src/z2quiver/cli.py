@@ -72,15 +72,14 @@ def _json_list(items: Iterable[str], nl: str) -> Iterator[str]:
 
 
 def _node_json(s, nl: str) -> str:
-    """json.dumps(node, indent=2) for the node object of setting s on a line
-    that starts with nl.  The quiver is support-reduced, so a dimension-0
-    trivial-character vertex is hidden."""
+    """json.dumps(node, indent=2) for the node object of setting s, with its
+    local quiver, on a line that starts with nl."""
     from .localquiver import local_quiver_rows, smooth_point
 
     def ints(values, nl: str) -> str:
         return "".join(_json_list(map(str, values), nl))
 
-    rows, dims = local_quiver_rows(s, reduced=True)
+    rows, dims = local_quiver_rows(s)
     a, b, c = nl + "  ", nl + "    ", nl + "      "
     young = "".join(_json_list((ints((size, len(list(run))), b) for size, run in itertools.groupby(s.sizes)), a))
     arrows = "".join(_json_list((ints(row, c) for row in rows), b))
@@ -117,7 +116,7 @@ def _subset_names(n: int) -> list[str]:
 def _setting_text(s) -> str:
     from .localquiver import local_quiver_rows, smooth_point
 
-    rows, dims = local_quiver_rows(s, reduced=True)
+    rows, dims = local_quiver_rows(s)
     out = [f"{s.id()}  sum_k={s.k_total}  smooth={'yes' if smooth_point(s) else 'no'}"]
     out.append("  dims: " + ",".join(map(str, dims)))
     out.extend("  " + row for row in format_matrix(rows))
@@ -192,7 +191,7 @@ def cmd_graph(args) -> int:
 def cmd_local(args) -> int:
     from .localquiver import enumerate_settings, young_diagram_slice
 
-    if args.young:
+    if args.young is not None:
         try:
             shape = tuple(int(x) for x in args.young.split(","))
         except ValueError:

@@ -7,7 +7,8 @@ trivial character with multiplicity m - sum k_i.  Settings are identified
 up to permutations of the ground set by their label, the descending tuple
 of (size, k) block pairs, which is how degeneration graphs are drawn.  The
 enumeration, the graphs and the moves work on labels, and build a
-LocalSetting only for what they return.
+LocalSetting only for what they return, storing it unchecked with _set:
+only LocalSetting(...) checks its input.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class LocalSetting(Frozen):
         # blocks share it, so the blocks themselves are never compared
         order = sorted(((b.bit_count(), k, -(b & -b), b) for b, k in zip(blocks, ks)), reverse=True)
         sizes, ks, _, blocks = zip(*order)
-        _store(self, n, m, blocks, sizes, ks)
+        self._set(n, m, blocks, ks, sizes)
 
     @property
     def l(self) -> int:
@@ -99,20 +100,6 @@ class LocalSetting(Frozen):
         return f"({blocks}; k={','.join(str(k) for k in self.k)})"
 
 
-def _store(s: LocalSetting, n: int, m: int, blocks: tuple[int, ...], sizes: tuple[int, ...],
-           ks: tuple[int, ...]) -> LocalSetting:
-    """Store a setting given in canonical order in s with _set, and return s.
-
-    Only the label is checked: 1 <= k_i <= |A_i|, sum k <= m <= n and
-    sum |A_i| = n.  That the blocks are a disjoint cover of {1..n} with the
-    given sizes is the caller's to ensure: LocalSetting checks it on its
-    input, and the enumeration and the moves build blocks as runs or as a
-    split of a checked block."""
-    if not (sum(sizes) == n and sum(ks) <= m <= n and min(ks) >= 1 and all(map(operator.le, ks, sizes))):
-        raise ValueError(f"not a setting label for n={n}, m={m}: sizes {sizes}, k {ks}")
-    return s._set(n, m, blocks, ks, sizes)
-
-
 def _check_level(n: int, m: int) -> tuple[int, int]:
     """n and m as ints, once checked."""
     n, m = check_ints((check_ground(n), m), "n and m")
@@ -131,7 +118,7 @@ def _run_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
 def _setting(n: int, m: int, label: Label) -> LocalSetting:
     """The canonical representative of a label: its blocks are runs."""
     sizes, ks = zip(*label)
-    return _store(object.__new__(LocalSetting), n, m, _run_blocks(sizes), sizes, ks)
+    return object.__new__(LocalSetting)._set(n, m, _run_blocks(sizes), ks, sizes)
 
 
 def _diagram_ks(m: int, sizes: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -186,10 +173,8 @@ def count_settings_for_young(rows: tuple[tuple[int, int], ...]) -> int:
     return count
 
 
-def local_quiver_rows(s: LocalSetting, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The arrow rows and dims of local_quiver(s), in plain ints.  With
-    reduced, those of its support: the trivial-character vertex is left out
-    when its dimension m - sum(k) is 0."""
+def local_quiver_rows(s: LocalSetting) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The arrow rows and dims of local_quiver(s), in plain ints."""
     sizes, ks = s.sizes, s.k
     l = len(ks)
     v0 = s.m - sum(ks)
@@ -199,7 +184,7 @@ def local_quiver_rows(s: LocalSetting, reduced: bool = False) -> tuple[list[list
     rows = [[spoke * kj + szj * k for szj, kj in pairs] for spoke, k in zip(spokes, ks)]
     for i, (sz, k) in enumerate(pairs):
         rows[i][i] = (k - 1) * (2 * sz - k - 1)
-    if not (v0 > 0 or (any(spokes) and not reduced)):
+    if not v0:  # with v0 > 0, sum k < m <= n leaves some spoke > 0
         return rows, (1,) * l
     for row, spoke in zip(rows, spokes):
         row.append(spoke)
@@ -212,9 +197,9 @@ def local_quiver(s: LocalSetting) -> QuiverSetting:
     per block with (k_i-1)(2|A_i|-k_i-1) loops, |A_i|k_j+|A_j|k_i-k_ik_j
     arrows each way between blocks, plus a trivial-character vertex of
     dimension m - sum(k) joined to block i by |A_i|-k_i arrows each way.
-    The extra vertex appears only when it has dimension or arrows; it may
-    carry dimension 0, in which case support() removes it."""
-    # from a checked label: square rows of nonnegative ints, as Quiver checks
+    Each vertex is a simple summand that occurs, so the trivial character
+    has a vertex just when m > sum(k), and the quiver is its own support."""
+    # a setting's rows are square and nonnegative, as Quiver checks
     return z2quiver.quiver._quiver_setting(*local_quiver_rows(s))
 
 
@@ -322,7 +307,7 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
         sizes, ks, _, blocks = zip(*sorted(order[:i] + new + order[i + 1 :], reverse=True))
         # the target's key in the node order of _labels; distinct targets have distinct keys
         key = (sum(ks), -len(ks), sizes, ks)
-        moves.append((key, _store(object.__new__(LocalSetting), s.n, s.m, blocks, sizes, ks)))
+        moves.append((key, object.__new__(LocalSetting)._set(s.n, s.m, blocks, ks, sizes)))
     moves.sort(key=operator.itemgetter(0), reverse=True)
     return [t for _, t in moves]
 
@@ -384,7 +369,7 @@ def young_diagram_slice(n: int, m: int, sizes: tuple[int, ...]) -> DegenerationG
         if ks[j] >= 2 and (j + 1 == len(ks) or (shape[j + 1], ks[j + 1]) != (shape[j], ks[j]))
     ]
     blocks = _run_blocks(shape)
-    nodes = tuple(_store(object.__new__(LocalSetting), n, m, blocks, shape, ks) for ks in ktuples)
+    nodes = tuple(object.__new__(LocalSetting)._set(n, m, blocks, ks, shape) for ks in ktuples)
     return object.__new__(DegenerationGraph)._set(n, m, nodes, tuple(sorted(edges)))
 
 

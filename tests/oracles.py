@@ -145,16 +145,15 @@ def is_chain(c: CharacterMultiset) -> bool:
 
 def local_euler_outer(s: LocalSetting):
     """Euler matrix of the setting in closed form, an int64 ndarray:
-    -(k^t v + v^t k + k^t k - 2 diag|A_i|) bordered by -v and 1 for the
-    trivial-character vertex, the border dropped when v = (|A_i| - k_i)
-    vanishes."""
+    -(k^t v + v^t k + k^t k - 2 diag|A_i|) with v = (|A_i| - k_i), bordered
+    by -v and 1 for the trivial-character vertex when m > sum(k)."""
     import numpy as np
 
     kvec = np.array(s.k, dtype=np.int64)
     sizes = np.array(s.sizes, dtype=np.int64)
     vvec = sizes - kvec
     core = -(np.outer(kvec, vvec) + np.outer(vvec, kvec) + np.outer(kvec, kvec)) + 2 * np.diag(sizes)
-    if not vvec.any():
+    if s.m == sum(s.k):
         return core
     l = s.l
     out = np.zeros((l + 1, l + 1), dtype=np.int64)
@@ -181,9 +180,8 @@ def degenerates(s: LocalSetting, t: LocalSetting) -> bool:
 
 
 def setting_json_obj(s: LocalSetting) -> dict:
-    """Node object for graph export; the quiver is support-reduced so a
-    dimension-0 trivial-character vertex is hidden."""
-    rows, dims = local_quiver_rows(s, reduced=True)
+    """Node object for graph export, with the setting's local quiver."""
+    rows, dims = local_quiver_rows(s)
     return {
         "id": s.id(),
         "young": [[size, len(list(run))] for size, run in itertools.groupby(s.sizes)],

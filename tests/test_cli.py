@@ -309,6 +309,14 @@ class TestLocal:
             assert code == 1 and captured.out == "", young
             assert "not a diagram" in captured.err, young
 
+    @pytest.mark.parametrize("young", ["", "a,b"])
+    def test_young_not_row_lengths(self, capsys, young):
+        # an empty --young listed every setting with exit 0
+        code = main(["local", "--n", "4", "--m", "4", "--young", young])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --young wants comma-separated row lengths, got {young!r}\n"
+
 
 def fifty_alpha_specs() -> list[DimVector]:
     specs: list[DimVector] = []

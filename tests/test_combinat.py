@@ -44,6 +44,12 @@ def test_parse_subset_refuses_elements_past_the_ground_cap(text):
         parse_subset(text)
 
 
+@pytest.mark.parametrize("text", ["1,3", "{1,3"])
+def test_parse_subset_refuses_text_without_braces(text):
+    with pytest.raises(ValueError, match=re.escape("subset must look like '{1,3}', got " + repr(text))):
+        parse_subset(text)
+
+
 def test_parse_subset_checks_n_first():
     with pytest.raises(ValueError, match="ground-set size"):
         parse_subset("{1}", 10**12)
@@ -241,6 +247,22 @@ class TestDimVector:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_zero_repeat_refused(self):
+        with pytest.raises(ValueError, match=re.escape("pair 1: repetition count must be >= 1 in '(1,0)*0'")):
+            parse_dim_vector("(1,0)*0")
+
+    @pytest.mark.parametrize(
+        "n,m,message",
+        [
+            (3, 0, "level m must be >= 1"),
+            (0, 1, f"need 1 <= n <= {MAX_PAIRS} pairs, got n=0"),
+            (MAX_PAIRS + 1, 1, f"need 1 <= n <= {MAX_PAIRS} pairs, got n={MAX_PAIRS + 1}"),
+        ],
+    )
+    def test_standard_refuses_out_of_range(self, n, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DimVector.standard(n, m)
 
     def test_pair_cap_boundary(self):
         assert parse_dim_vector(f"(1,0)*{MAX_PAIRS}").n == MAX_PAIRS

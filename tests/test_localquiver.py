@@ -40,7 +40,7 @@ from z2quiver.localquiver import (
     smooth_point,
     young_diagram_slice,
 )
-from z2quiver.quiver import Quiver, is_smooth_setting, support
+from z2quiver.quiver import Quiver, QuiverSetting, is_smooth_setting, support
 
 
 def blocks_of(*groups):
@@ -146,8 +146,9 @@ class TestLocalSetting:
 class TestLabelBuilt:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_equal_to_validated_construction(self, n):
-        # the enumeration and the moves build settings from labels without
-        # the block checks; each equals LocalSetting on the same blocks and k
+        # the enumeration, the moves, the graph and the slices store settings
+        # built from labels unchecked; each equals LocalSetting on the same
+        # blocks and k
         def check(s):
             t = LocalSetting(s.n, s.m, s.blocks, s.k)
             assert (t, t.sizes) == (s, s.sizes), s
@@ -158,22 +159,11 @@ class TestLabelBuilt:
                 check(s)
                 for t in elementary_moves(s):
                     check(t)
-
-    @pytest.mark.parametrize(
-        "n,m,blocks,sizes,k",
-        [
-            (3, 3, (7,), (3,), (0,)),
-            (3, 3, (7,), (3,), (4,)),
-            (3, 2, (7,), (3,), (3,)),
-            (3, 4, (7,), (3,), (3,)),
-            (3, 3, (3,), (2,), (1,)),
-            (3, 3, (7, 8), (3, 1), (1, 1)),
-        ],
-        ids=["k-zero", "k-above-size", "sum-k-above-m", "m-above-n", "sizes-below-n", "sizes-above-n"],
-    )
-    def test_malformed_label_refused(self, n, m, blocks, sizes, k):
-        with pytest.raises(ValueError, match="not a setting label"):
-            localquiver._store(object.__new__(LocalSetting), n, m, blocks, sizes, k)
+            for s in degeneration_graph(n, m).nodes:
+                check(s)
+            for shape in partitions_of_int(n):
+                for s in young_diagram_slice(n, m, shape).nodes:
+                    check(s)
 
 
 class TestEnumerateSettings:
@@ -298,15 +288,14 @@ class TestLocalQuiver:
         qs = local_quiver(LocalSetting(4, 4, whole(4), (4,)))
         assert qs.quiver.v == 1 and qs.dims == (1,)
 
-    def test_dim0_extra_vertex_kept_then_dropped_by_support(self):
-        # sum k = m but a block keeps spare room: the extra vertex carries
-        # dimension 0 and arrows, and support() removes it
+    def test_no_trivial_vertex_at_sum_k_equal_m(self):
+        # sum k = m though the block keeps spare room: the trivial character
+        # does not occur, so it has no vertex
         s = LocalSetting(3, 2, whole(3), (2,))
         qs = local_quiver(s)
-        assert qs.quiver.v == 2 and qs.dims == (1, 0)
-        assert qs.quiver.arrows[0, 1] == 1
-        reduced = support(qs.quiver, qs.dims)
-        assert reduced.quiver.v == 1 and reduced.dims == (1,)
+        assert qs == QuiverSetting(Quiver([[3]]), (1,))
+        assert local_quiver_rows(s) == ([[3]], (1,))
+        assert local_euler_matrix(s).tolist() == [[-2]]
 
     def test_symmetry_everywhere(self):
         for n in range(1, 7):
@@ -315,16 +304,18 @@ class TestLocalQuiver:
                     arrows = local_quiver(s).quiver.arrows
                     assert (arrows == arrows.T).all()
 
-    def test_reduced_rows_match_support(self):
-        # the emitters' int rows against the Quiver route they replace
-        for n in range(1, 9):
+    def test_local_quiver_is_its_own_support(self):
+        # every vertex is a summand that occurs: no dimension 0, and support()
+        # keeps the whole quiver; the emitters' int rows are its arrows
+        count = 0
+        for n in range(1, 11):
             for m in range(1, n + 1):
                 for s in enumerate_settings(n, m):
                     qs = local_quiver(s)
-                    reduced = support(qs.quiver, qs.dims)
-                    rows, dims = local_quiver_rows(s, reduced=True)
-                    assert (rows, dims) == (reduced.quiver.arrows.tolist(), reduced.dims), s
+                    assert 0 not in qs.dims and support(qs.quiver, qs.dims) == qs, s
                     assert local_quiver_rows(s) == (qs.quiver.arrows.tolist(), qs.dims), s
+                    count += 1
+        assert count == 4159
 
     def test_stored_arrows_match_the_checked_quiver(self):
         # oracle: the validating Quiver constructor on the same rows
@@ -364,18 +355,11 @@ class TestLocalEulerMatrix:
                 for s in enumerate_settings(n, m):
                     e = local_euler_matrix(s)
                     q = local_quiver(s).quiver.euler_matrix()
-                    if e.shape == q.shape:
-                        assert np.array_equal(e, q)
-                    else:
-                        # extra vertex present but arrow-free
-                        l = s.l
-                        assert q.shape == (l + 1, l + 1)
-                        assert np.array_equal(e, q[:l, :l])
-                        assert q[l, l] == 1 and not q[l, :l].any() and not q[:l, l].any()
+                    assert np.array_equal(e, q), s
 
     def test_read_only_and_the_euler_matrix_of_local_quiver(self):
-        # the trivial-character vertex is always kept: a dimension m - sum(k) > 0
-        # with m <= n = sum |A_i| forces some |A_i| > k_i, which joins it to a block
+        # the trivial-character vertex, present when m - sum(k) > 0, always has
+        # arrows: m <= n = sum |A_i| forces some |A_i| > k_i, joining it to a block
         for n in range(1, 11):
             for m in range(1, n + 1):
                 for s in enumerate_settings(n, m):
