@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import operator
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -354,7 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's pipe is closed: send what is still buffered to devnull, so
+        # the interpreter's flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,8 @@ matrices stop earlier, at freeprod.MAX_ONE_QUIVER_GROUND = 12.
 
 from __future__ import annotations
 
+__all__ = ("DimVector", "bn_canonicalize", "multiset_coeff", "parse_dim_vector", "parse_subset", "subset_str")
+
 import functools
 import math
 import operator

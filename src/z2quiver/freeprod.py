@@ -10,6 +10,12 @@ level-2 components are all decided through it.
 
 from __future__ import annotations
 
+__all__ = (
+    "CharacterMultiset", "build_one_quiver", "build_Qn", "chain_of", "component_count", "is_iss_smooth",
+    "is_simple_alpha", "is_simple_alpha_oracle", "iss_dim", "one_quiver_euler_closed", "orbit_count",
+    "orbit_representatives", "parse_characters", "simple_alpha_report", "treelike_census",
+)
+
 import itertools
 import math
 from typing import TYPE_CHECKING, Iterator

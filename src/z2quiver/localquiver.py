@@ -13,6 +13,12 @@ only LocalSetting(...) checks its input.
 
 from __future__ import annotations
 
+__all__ = (
+    "DegenerationGraph", "LocalSetting", "count_settings_for_young", "degenerates_class", "degeneration_graph",
+    "elementary_moves", "enumerate_settings", "local_euler_matrix", "local_quiver", "smooth_point",
+    "young_diagram_slice",
+)
+
 import itertools
 import operator
 from typing import TYPE_CHECKING, Iterator

@@ -10,6 +10,11 @@ operations are pure; Quiver instances freeze their matrix.
 
 from __future__ import annotations
 
+__all__ = (
+    "Quiver", "QuiverSetting", "UnsupportedInputError", "euler_form", "is_simple_dimvector", "is_smooth_setting",
+    "is_strongly_connected", "support",
+)
+
 import operator
 
 from .combinat import Frozen, check_ints

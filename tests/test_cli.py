@@ -532,6 +532,22 @@ def test_module_entry_point():
     assert proc.stdout == "27\n"
 
 
+STREAMED_COMMANDS = [["one-quiver", "--n", "10"], ["graph", "--n", "9", "--m", "9", "--format", "json"]]
+
+
+@pytest.mark.parametrize("argv", STREAMED_COMMANDS, ids=["one-quiver", "graph"])
+def test_reader_leaving_early(argv):
+    # the output is far longer than a pipe holds, so the command is still
+    # writing when its reader takes one line and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "z2quiver", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 # Commands that never build an array, so they must run without numpy.
 NUMPY_FREE_COMMANDS = [
     ["one-quiver", "--n", "10"],

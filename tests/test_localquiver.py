@@ -780,7 +780,7 @@ class TestYoungSlice:
                 assert set(g.edges) == expected, (m, shape)
 
 
-# support-reduced node quivers of the full-level n=3 graph: id -> (dims, arrows)
+# node quivers of the full-level n=3 graph: id -> (dims, arrows)
 FIG33_QUIVERS = {
     "(3),(3)": ((1,), [[4]]),
     "(2,1),(2,1)": ((1, 1), [[1, 2], [2, 0]]),
@@ -795,13 +795,12 @@ def test_fig33_node_quivers():
     g = degeneration_graph(3, 3)
     for s in g.nodes:
         qs = local_quiver(s)
-        reduced = support(qs.quiver, qs.dims)
         dims, arrows = FIG33_QUIVERS[s.id()]
-        assert reduced.dims == dims, s.id()
-        assert reduced.quiver.arrows.tolist() == arrows, s.id()
+        assert qs.dims == dims, s.id()
+        assert qs.quiver.arrows.tolist() == arrows, s.id()
 
 
-# support-reduced node quivers of the full-level n=4 graph: id -> (dims, arrows)
+# node quivers of the full-level n=4 graph: id -> (dims, arrows)
 FIG44_QUIVERS = {
     "(4),(4)": ((1,), [[9]]),
     "(3,1),(3,1)": ((1, 1), [[4, 3], [3, 0]]),
@@ -827,10 +826,9 @@ def test_fig44_node_quivers():
     assert len(g.nodes) == len(FIG44_QUIVERS)
     for s in g.nodes:
         qs = local_quiver(s)
-        reduced = support(qs.quiver, qs.dims)
         dims, arrows = FIG44_QUIVERS[s.id()]
-        assert reduced.dims == dims, s.id()
-        assert reduced.quiver.arrows.tolist() == arrows, s.id()
+        assert qs.dims == dims, s.id()
+        assert qs.quiver.arrows.tolist() == arrows, s.id()
 
 
 class TestSmoothPoint:
@@ -854,17 +852,16 @@ class TestSmoothPoint:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_cross_validation_on_loop_free_settings(self, n):
-        # loop-free supports are exactly the all-k-equal-1 settings; there the
+        # loop-free local quivers are exactly the all-k-equal-1 settings; there the
         # smooth-point classification must agree with the block rules
         for m in range(1, n + 1):
             for s in enumerate_settings(n, m):
                 qs = local_quiver(s)
-                reduced = support(qs.quiver, qs.dims)
                 if all(k == 1 for k in s.k):
-                    assert not reduced.quiver.arrows.diagonal().any()
+                    assert not qs.quiver.arrows.diagonal().any()
                     assert smooth_point(s) == is_smooth_setting(qs.quiver, qs.dims), s.id()
                 else:
-                    assert reduced.quiver.arrows.diagonal().any()
+                    assert qs.quiver.arrows.diagonal().any()
 
     def test_matches_block_rules_on_every_local_quiver(self):
         # the local quivers carry loops only at dimension-1 block vertices,

@@ -92,6 +92,25 @@ class TestNamespace:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "True"]
 
+    def test_dir_lists_every_name_before_a_lookup(self):
+        probe = "import z2quiver\nnames = dir(z2quiver)\nprint(set(z2quiver.__all__) <= set(names))\n"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
+
+    @pytest.mark.parametrize("module", SUBMODULES)
+    def test_each_module_names_its_public_api(self, module):
+        # the package's names are the modules' __all__, each defined where it is listed
+        mod = importlib.import_module(f"z2quiver.{module}")
+        assert sorted(mod.__all__) == sorted(name for name, owner in PUBLIC.items() if owner == module)
+        assert len(set(mod.__all__)) == len(mod.__all__)
+        for name in mod.__all__:
+            assert getattr(mod, name).__module__ == mod.__name__, name
+        star: dict = {}
+        exec(f"from z2quiver.{module} import *", star)
+        del star["__builtins__"]
+        assert star.keys() == set(mod.__all__)
+
 
 def setting() -> LocalSetting:
     return enumerate_settings(3, 3)[1]
