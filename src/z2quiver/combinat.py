@@ -153,8 +153,6 @@ def multiset_coeff(k: int, n: int) -> int:
 
 def partitions_of_int(n: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing tuples of positive integers summing to n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
 
     def rec(rest: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if rest == 0:

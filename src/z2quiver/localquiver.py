@@ -321,9 +321,11 @@ def elementary_moves(s: LocalSetting) -> list[LocalSetting]:
 class DegenerationGraph(Frozen):
     """Degeneration order on permutation classes of settings: nodes are
     canonical settings, a directed edge per elementary move (coarser to
-    finer).  Acyclic; its reflexive-transitive closure is the full
-    degeneration order.  The constructor refuses nodes that are not
-    settings of (n, m) and edges that are not pairs of node indices."""
+    finer).  Graded by r = sum k - l, which every move lowers by exactly 1 (a
+    k-lowering takes one from sum k, a split adds a block at the same sum k),
+    so no longer path joins an edge's ends: each edge is a covering
+    relation.  The constructor refuses nodes that are not settings of (n, m)
+    and edges that are not pairs of node indices."""
 
     __slots__ = _fields = ("n", "m", "nodes", "edges")
 
@@ -342,8 +344,12 @@ class DegenerationGraph(Frozen):
 
 
 def degeneration_graph(n: int, m: int) -> DegenerationGraph:
-    """Nodes and edges come from the labels alone: a setting is built only
-    for each node, and each move's target is found by its label, re-sorted."""
+    """The Hasse diagram of the class-level degeneration order: its
+    reflexive-transitive closure is degenerates_class, and each edge, lowering
+    r = sum k - l by exactly 1, is a cover.  The one top (n),(m) has r = m - 1;
+    the settings with every k = 1 have r = 0 and are the ones with no move.
+    Nodes and edges come from the labels alone: a setting is built only for
+    each node, and each move's target is found by its label, re-sorted."""
     n, m = _check_level(n, m)
     labels = _labels(n, m)
     index = {label: i for i, label in enumerate(labels)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __all__ = (
     "Quiver", "QuiverSetting", "UnsupportedInputError", "euler_form", "is_simple_dimvector", "is_smooth_setting",
-    "is_strongly_connected", "support",
+    "support",
 )
 
 import operator
@@ -149,12 +149,6 @@ def _quiver_setting(rows, dims: tuple[int, ...]) -> QuiverSetting:
 def support(q: Quiver, dims) -> QuiverSetting:
     """Full subquiver on the vertices with nonzero dimension."""
     return _quiver_setting(*_support_rows(q.arrows.tolist(), _check_dims(q, dims)))
-
-
-def is_strongly_connected(q: Quiver) -> bool:
-    """Every ordered vertex pair joined by a directed path; one vertex: True."""
-    a = q.arrows.tolist()
-    return len(a) <= 1 or _reaches_all(a) and _reaches_all(list(zip(*a)))
 
 
 def _reach(rows, start: int, seen: list[bool]) -> None:

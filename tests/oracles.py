@@ -7,10 +7,10 @@ set partitions of the ground set, labelled degeneration of settings, the
 order as the old Young-label key wrote it, the labels as the product of
 per-class k-multisets filtered by the level, the character quiver's Euler
 matrix by block doubling, its Hamming distances as one full 4^n grid, the
-chain test on a character sum, a local Euler matrix from outer products,
-the simplicity test on a support with a per-cell strong-connectivity search
-and an index-sum Euler loop, and the `graph` and `local` JSON as dicts for
-json.dumps(obj, indent=2).
+chain test on a character sum, the free product's Euler form chi that the
+paper reads every local quiver off, the simplicity test on a support with a
+per-cell strong-connectivity search and an index-sum Euler loop, and the
+`graph` and `local` JSON as dicts for json.dumps(obj, indent=2).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, partitions_of_int, subset_str
-from z2quiver.freeprod import CharacterMultiset, rep2_values
+from z2quiver.freeprod import CharacterMultiset, build_Qn, rep2_values
 from z2quiver.localquiver import DegenerationGraph, LocalSetting, local_quiver_rows, smooth_point
-from z2quiver.quiver import Quiver, QuiverSetting, UnsupportedInputError, support
+from z2quiver.quiver import Quiver, QuiverSetting, UnsupportedInputError, euler_form, support
 
 
 def min_element(a: int) -> int:
@@ -143,25 +143,15 @@ def is_chain(c: CharacterMultiset) -> bool:
     return all(a & b in (a, b) for a, b in itertools.combinations(masks, 2))
 
 
-def local_euler_outer(s: LocalSetting):
-    """Euler matrix of the setting in closed form, an int64 ndarray:
-    -(k^t v + v^t k + k^t k - 2 diag|A_i|) with v = (|A_i| - k_i), bordered
-    by -v and 1 for the trivial-character vertex when m > sum(k)."""
-    import numpy as np
-
-    kvec = np.array(s.k, dtype=np.int64)
-    sizes = np.array(s.sizes, dtype=np.int64)
-    vvec = sizes - kvec
-    core = -(np.outer(kvec, vvec) + np.outer(vvec, kvec) + np.outer(kvec, kvec)) + 2 * np.diag(sizes)
-    if s.m == sum(s.k):
-        return core
-    l = s.l
-    out = np.zeros((l + 1, l + 1), dtype=np.int64)
-    out[:l, :l] = core
-    out[:l, l] = -vvec
-    out[l, :l] = -vvec
-    out[l, l] = 1
-    return out
+def chi(n: int, b, c) -> int:
+    """The free product's Euler form chi(b, c) = sum_i (b_i+ c_i+ + b_i- c_i-)
+    - (n-1) m_b m_c (Le Bruyn-Procesi, Trans. AMS 1990) on dimension vectors
+    flattened as (b_1+, b_1-, ..., b_n+, b_n-): euler_form on build_Qn(n),
+    whose arrows from 1+ and 1- to each i+/- with i >= 2 give the second
+    term.  build_Qn refuses n = 1, where chi is the sum term alone."""
+    if n == 1:
+        return sum(x * y for x, y in zip(b, c))
+    return euler_form(build_Qn(n), b, c)
 
 
 def degenerates(s: LocalSetting, t: LocalSetting) -> bool:
@@ -373,8 +363,9 @@ def character_sums(alpha: DimVector) -> Iterator[CharacterMultiset]:
 
 
 def sum_local_quiver(c: CharacterMultiset) -> QuiverSetting:
-    """The local quiver at the character sum c: its characters with their
-    multiplicities as dims, |A delta B| - 1 arrows each way between two of
-    them, and no loops."""
+    """The local quiver at the character sum c, read off chi: its characters
+    with their multiplicities as dims, and delta_AB - chi(A, B) arrows from
+    A to B."""
     masks, mults = zip(*c.counts)
-    return QuiverSetting(Quiver([[max((a ^ b).bit_count() - 1, 0) for b in masks] for a in masks]), mults)
+    chars = [sum(DimVector.character(c.n, a).pairs, ()) for a in masks]
+    return QuiverSetting(Quiver([[(a == b) - chi(c.n, a, b) for b in chars] for a in chars]), mults)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     character_sum,
     character_sums,
+    chi,
     components,
     hamming_grid,
     is_chain,
@@ -246,9 +247,12 @@ class TestOneQuiver:
         assert copy == q and hash(copy) == hash(q)
         assert not np.shares_memory(copy.arrows, q.arrows)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_euler_form_on_character_basis(self, n):
-        # pairing two characters gives 1 - |A delta B|, entrywise
+        # pairing two characters gives 1 - |A delta B|, entrywise: the Euler form
+        # chi on their dimension vectors, and the character quiver's own
+        chars = [sum(DimVector.character(n, a).pairs, ()) for a in range(1 << n)]
+        assert one_quiver_euler_closed(n).tolist() == [[chi(n, b, c) for c in chars] for b in chars]
         assert np.array_equal(build_one_quiver(n).euler_matrix(), one_quiver_euler_closed(n))
 
     @pytest.mark.parametrize("build", [build_one_quiver, one_quiver_euler_closed])
@@ -702,6 +706,15 @@ class TestIssDim:
 
     def test_characters_are_points(self):
         assert iss_dim(DimVector.character(4, 0b0101)) == 0
+
+    def test_one_minus_chi_on_simple_orbits(self):
+        # the paper's route: a simple alpha's moduli has dimension 1 - chi(alpha, alpha)
+        simple = [alpha for n in range(2, 7) for m in range(1, 9) for alpha in orbit_representatives(n, m)
+                  if is_simple_alpha(alpha)]
+        assert len(simple) == 670
+        for alpha in simple:
+            flat = sum(alpha.pairs, ())
+            assert iss_dim(alpha) == 1 - chi(alpha.n, flat, flat), alpha
 
     def test_non_simple_rejected(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    chi,
     degenerates,
     enumerate_set_partitions,
     graph_json_obj,
     labels_by_product,
-    local_euler_outer,
     min_element,
     setting_json_obj,
     young_sort_key,
@@ -341,13 +341,18 @@ class TestLocalEulerMatrix:
         s = LocalSetting(3, 3, whole(3), (1,))
         assert local_euler_matrix(s).tolist() == [[1, -2], [-2, 1]]
 
-    def test_matches_outer_product_closed_form(self):
+    def test_matches_the_euler_form_chi(self):
+        # the paper's route: chi between the dimension vectors of the summands, a
+        # simple (k_i - 1, 1) on A_i and (k_i, 0) off it per block, then the
+        # trivial character (1, 0)^n when m > sum k
         for n in range(1, 9):
             for m in range(1, n + 1):
                 for s in enumerate_settings(n, m):
+                    summands = [[x for i in range(n) for x in ((k - 1, 1) if a >> i & 1 else (k, 0))]
+                                for a, k in zip(s.blocks, s.k)] + [[1, 0] * n] * (m > s.k_total)
                     e = local_euler_matrix(s)
                     assert e.dtype == np.int64
-                    assert np.array_equal(e, local_euler_outer(s)), s
+                    assert e.tolist() == [[chi(n, b, c) for c in summands] for b in summands], s
 
     def test_matches_local_quiver_everywhere(self):
         for n in range(1, 7):
@@ -658,6 +663,20 @@ class TestDegenerationGraph:
         g = degeneration_graph(4, 4)
         assert len(g.nodes) == 13 and len(g.edges) == 19
         assert edge_ids(g) == FIG44_EDGES
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_graded_hasse_diagram(self, n):
+        # every edge lowers r = sum k - l by exactly 1, from the one node with no
+        # edge in, (n),(m) at r = m - 1, to those with no edge out: every k = 1
+        for m in range(1, n + 1):
+            g = degeneration_graph(n, m)
+            rank = [s.k_total - s.l for s in g.nodes]
+            assert all(rank[i] - rank[j] == 1 for i, j in g.edges), m
+            heads, tails = {j for _, j in g.edges}, {i for i, _ in g.edges}
+            tops = [(s.young(), r) for i, (s, r) in enumerate(zip(g.nodes, rank)) if i not in heads]
+            assert tops == [(((n, m),), m - 1)], m
+            bottoms = {i for i in range(len(g.nodes)) if i not in tails}
+            assert bottoms == {i for i, s in enumerate(g.nodes) if set(s.k) == {1}}, m
 
     def test_acyclic(self):
         for n, m in ((4, 4), (5, 5), (5, 2)):

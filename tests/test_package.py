@@ -54,7 +54,7 @@ PUBLIC = {
     ),
     **dict.fromkeys(
         ["Quiver", "QuiverSetting", "UnsupportedInputError", "euler_form", "is_simple_dimvector", "is_smooth_setting",
-         "is_strongly_connected", "support"],
+         "support"],
         "quiver",
     ),
 }

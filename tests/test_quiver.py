@@ -17,7 +17,6 @@ from z2quiver.quiver import (
     euler_form,
     is_simple_dimvector,
     is_smooth_setting,
-    is_strongly_connected,
     support,
 )
 
@@ -232,32 +231,35 @@ class TestSupport:
 
 
 class TestStronglyConnected:
+    """The reference strong-connectivity search of tests/oracles.py, which the
+    simplicity oracle runs."""
+
     def test_two_way_pair(self):
-        assert is_strongly_connected(pair_quiver(1))
+        assert strongly_connected([[0, 1], [1, 0]])
 
     def test_one_way_pair(self):
-        assert not is_strongly_connected(Quiver([[0, 1], [0, 0]]))
+        assert not strongly_connected([[0, 1], [0, 0]])
 
     def test_single_vertex(self):
-        assert is_strongly_connected(Quiver([[0]]))
-        assert is_strongly_connected(Quiver([[2]]))
+        assert strongly_connected([[0]])
+        assert strongly_connected([[2]])
 
     def test_symmetric_matches_undirected_connectivity(self):
         # every full subquiver of the n=3 character quiver
         q = build_one_quiver(3)
         for smask in range(1, 1 << q.v):
             verts = [i for i in range(q.v) if smask >> i & 1]
-            sub = Quiver(q.arrows[np.ix_(verts, verts)])
+            sub = q.arrows[np.ix_(verts, verts)]
             # undirected connectivity by flood fill on the same matrix
             seen = {0}
             stack = [0]
             while stack:
                 i = stack.pop()
-                for j in np.nonzero(sub.arrows[i] + sub.arrows[:, i])[0]:
+                for j in np.nonzero(sub[i] + sub[:, i])[0]:
                     if int(j) not in seen:
                         seen.add(int(j))
                         stack.append(int(j))
-            assert is_strongly_connected(sub) == (len(seen) == sub.v)
+            assert strongly_connected(sub.tolist()) == (len(seen) == len(verts))
 
 
 class TestIsSimpleDimvector:
@@ -321,8 +323,8 @@ class TestIsSimpleDimvector:
 
 
 class TestSimpleSupportMatchesOracle:
-    """_is_simple_support and is_strongly_connected against the per-cell
-    search and the index-sum Euler loop in tests/oracles.py."""
+    """_is_simple_support against the per-cell search and the index-sum Euler
+    loop in tests/oracles.py."""
 
     def test_every_small_quiver(self):
         # every arrow matrix with v <= 3 and at most 2 arrows per cell, at
@@ -330,7 +332,6 @@ class TestSimpleSupportMatchesOracle:
         for v in range(1, 4):
             for cells in itertools.product(range(3), repeat=v * v):
                 a = [list(cells[i * v:(i + 1) * v]) for i in range(v)]
-                assert is_strongly_connected(Quiver(a)) == strongly_connected(a), a
                 for dims in itertools.product((1, 2), repeat=v):
                     assert _is_simple_support(a, dims) == is_simple_support(a, dims), (a, dims)
 
@@ -344,7 +345,6 @@ class TestSimpleSupportMatchesOracle:
     )
     def test_random_quivers_up_to_seven_vertices(self, data):
         a, dims = data
-        assert is_strongly_connected(Quiver(a)) == strongly_connected(a)
         assert _is_simple_support(a, dims) == is_simple_support(a, dims)
 
     # symmetric supports take one search and skip the sums at the least

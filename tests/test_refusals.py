@@ -234,7 +234,6 @@ def contract_table():
         + [("edge", 1, lambda x: z.DegenerationGraph(4, 4, (fine, fine), ((0, x),)))],
         "young_diagram_slice": positions(lambda n, m, size: z.young_diagram_slice(n, m, (size, 2)), 4, 3, 2),
         "Quiver": arrows,
-        "is_strongly_connected": through(arrows, z.is_strongly_connected),
         "QuiverSetting": [("dim", 1, lambda x: z.QuiverSetting(q, [x, 1]))],
         "euler_form": [("alpha", 1, lambda x: z.euler_form(q, (x, 1), (1, 1))),
                        ("beta", 1, lambda x: z.euler_form(q, (1, 1), (1, x)))],
