@@ -7,10 +7,12 @@ set partitions of the ground set, labelled degeneration of settings, the
 order as the old Young-label key wrote it, the labels as the product of
 per-class k-multisets filtered by the level, the character quiver's Euler
 matrix by block doubling, its Hamming distances as one full 4^n grid, the
-chain test on a character sum, the free product's Euler form chi that the
-paper reads every local quiver off, the simplicity test on a support with a
-per-cell strong-connectivity search and an index-sum Euler loop, and the
-`graph` and `local` JSON as dicts for json.dumps(obj, indent=2).
+chain test on a character sum, the free product's Euler form chi, every
+semisimple type of a dimension vector with the local quiver the paper reads
+off chi at it (the character sums are the types with top=1), the simplicity
+test on a support with a per-cell strong-connectivity search and an
+index-sum Euler loop, and the `graph` and `local` JSON as dicts for
+json.dumps(obj, indent=2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from z2quiver.combinat import DimVector, check_ground, check_subset, full_mask, partitions_of_int, subset_str
-from z2quiver.freeprod import CharacterMultiset, build_Qn, rep2_values
+from z2quiver.freeprod import CharacterMultiset, build_Qn, is_simple_alpha, rep2_values
 from z2quiver.localquiver import DegenerationGraph, LocalSetting, local_quiver_rows, smooth_point
 from z2quiver.quiver import Quiver, QuiverSetting, UnsupportedInputError, euler_form, support
 
@@ -30,11 +32,6 @@ def min_element(a: int) -> int:
     if a <= 0:
         raise ValueError("empty subset has no minimum")
     return (a & -a).bit_length()
-
-
-def _block_sort_key(block: int) -> tuple[int, int]:
-    # canonical order: size descending, then smallest element ascending
-    return (-block.bit_count(), min_element(block))
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class SetPartition:
             union |= b
         if union != full_mask(self.n):
             raise ValueError("blocks must cover the ground set")
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=_block_sort_key)))
+        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: (-b.bit_count(), min_element(b)))))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -338,34 +335,36 @@ def is_smooth_setting_by_parts(q: Quiver, dims) -> bool:
     return True
 
 
-def character_sums(alpha: DimVector) -> Iterator[CharacterMultiset]:
-    """Every character sum with dimension vector alpha, once each: the
-    multisets of subsets A of {1..n} with multiplicities e_A summing to m,
-    those containing i to a_i-.  The characters are drawn in ascending mask
-    order, each while every pair still has room on its side."""
-    n, plus, minus = alpha.n, [p for p, _ in alpha.pairs], [q for _, q in alpha.pairs]
+def semisimple_types(alpha: DimVector, top: int | None = None) -> Iterator[tuple[tuple[DimVector, int], ...]]:
+    """Every semisimple type of alpha once: the multisets of simple vectors
+    b_j with multiplicities e_j summing to alpha, as ((b_j, e_j), ...).  The
+    simples, of level at most top, are listed below alpha level by level as
+    the pairs (level - q, q) with q <= a_i- and level - q <= a_i+ that
+    is_simple_alpha accepts.  Every level-1 vector is a simple character, so
+    the top=1 types are the character sums.  The zero vector has one type."""
+    simples = []
+    for level in range(1, (alpha.m if top is None else min(top, alpha.m)) + 1):
+        for minus in itertools.product(*[range(max(0, level - p), min(level, q) + 1) for p, q in alpha.pairs]):
+            beta = DimVector(tuple((level - q, q) for q in minus))
+            if is_simple_alpha(beta):
+                simples.append((level, minus, beta))
 
-    def grow(start: int, drawn: list[int]) -> Iterator[CharacterMultiset]:
-        if not any(plus) and not any(minus):
-            yield CharacterMultiset(n, tuple((a, len(list(run))) for a, run in itertools.groupby(drawn)))
+    def grow(fitting: list, level: int, rest: tuple[int, ...], drawn: list[DimVector]) -> Iterator[tuple]:
+        # rest: the a_i- left to fill at this level; a simple that does not fit it fits nothing below
+        if not level:
+            yield tuple((b, len(list(run))) for b, run in itertools.groupby(drawn))
             return
-        for a in range(start, 1 << n):
-            side = [minus if a >> i & 1 else plus for i in range(n)]
-            if all(room[i] for i, room in enumerate(side)):
-                for i, room in enumerate(side):
-                    room[i] -= 1
-                yield from grow(a, drawn + [a])
-                for i, room in enumerate(side):
-                    room[i] += 1
+        fitting = [c for c in fitting if all(q <= r <= q + level - c[0] for q, r in zip(c[1], rest))]
+        for j, (b, minus, beta) in enumerate(fitting):
+            yield from grow(fitting[j:], level - b, tuple(r - q for q, r in zip(minus, rest)), drawn + [beta])
 
-    if alpha.m:
-        yield from grow(0, [])
+    yield from grow(simples, alpha.m, tuple(q for _, q in alpha.pairs), [])
 
 
-def sum_local_quiver(c: CharacterMultiset) -> QuiverSetting:
-    """The local quiver at the character sum c, read off chi: its characters
-    with their multiplicities as dims, and delta_AB - chi(A, B) arrows from
-    A to B."""
-    masks, mults = zip(*c.counts)
-    chars = [sum(DimVector.character(c.n, a).pairs, ()) for a in masks]
-    return QuiverSetting(Quiver([[(a == b) - chi(c.n, a, b) for b in chars] for a in chars]), mults)
+def type_local_quiver(n: int, summands: tuple[tuple[DimVector, int], ...]) -> QuiverSetting:
+    """The Le Bruyn-Procesi local quiver at a point of semisimple type
+    summands over n pairs, read off chi: dims e_j, and delta_ij - chi(b_i,
+    b_j) arrows from i to j, so 1 - chi(b_i, b_i) loops at i."""
+    flat = [sum(b.pairs, ()) for b, _ in summands]
+    rows = [[(i == j) - chi(n, b, c) for j, c in enumerate(flat)] for i, b in enumerate(flat)]
+    return QuiverSetting(Quiver(rows), tuple(e for _, e in summands))

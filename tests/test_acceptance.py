@@ -225,9 +225,9 @@ def test_criterion_9_smoothness_cross_check():
                         or s.n == s.m == 2
                     )
                     assert smooth_point(s) == expected, s.id()
-                    if all(k == 1 for k in s.k):
-                        qs = local_quiver(s)
-                        assert smooth_point(s) == is_smooth_setting(qs.quiver, qs.dims), s.id()
+                    # loops sit only at dimension-1 vertices, in the block rules' range
+                    qs = local_quiver(s)
+                    assert smooth_point(s) == is_smooth_setting(qs.quiver, qs.dims), s.id()
 
         def brute_family(alpha: DimVector) -> bool:
             n = alpha.n

@@ -382,6 +382,13 @@ class TestIssDim:
         assert code == 1
         assert "not a simple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simple", "iss-dim"])
+    def test_zero_vector_refused(self, capsys, command):
+        code = main([command, "--alpha", "0,0;0,0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "the zero dimension vector has no representations" in captured.err
+
 
 class TestSmoothComponent:
     def test_yes(self, capsys):
@@ -391,6 +398,11 @@ class TestSmoothComponent:
     def test_no(self, capsys):
         code, out = run(capsys, "smooth-component", "--alpha", "2,1;2,1;2,1")
         assert code == 1 and out.strip().endswith("smooth: no")
+
+    def test_level_zero(self, capsys):
+        # the zero component is one point, and smooth
+        code, out = run(capsys, "smooth-component", "--alpha", "0,0;0,0")
+        assert code == 0 and "0 mixed pair(s)" in out and out.strip().endswith("smooth: yes")
 
 
 def per_row_rep2(n: int, fmt: str) -> str:

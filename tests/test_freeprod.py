@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     character_sum,
-    character_sums,
     chi,
     components,
     hamming_grid,
     is_chain,
     one_quiver_euler_recursive,
     rep2_census,
-    sum_local_quiver,
+    semisimple_types,
+    type_local_quiver,
 )
 
 from z2quiver import freeprod
@@ -41,7 +41,7 @@ from z2quiver.freeprod import (
     simple_alpha_report,
     treelike_census,
 )
-from z2quiver.quiver import Quiver, is_simple_dimvector, is_smooth_setting
+from z2quiver.quiver import Quiver, UnsupportedInputError, is_simple_dimvector, is_smooth_setting
 
 TOO_LONG = f" has more than {freeprod.MAX_COUNT_DIGITS} digits"
 
@@ -782,6 +782,13 @@ class TestIssSmooth:
             for a in (0, full_mask(n)):
                 assert is_iss_smooth(DimVector.character(n, a))
 
+    def test_level_zero_smooth(self):
+        # the zero component is one point: one empty type, with the empty quiver
+        for n in (1, 4, 12):
+            alpha = DimVector(((0, 0),) * n)
+            assert is_iss_smooth(alpha)
+            assert list(semisimple_types(alpha)) == [()] and is_smooth_at(n, ())
+
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("m", range(1, 5))
     def test_exactly_the_orbit_family(self, n, m):
@@ -789,48 +796,108 @@ class TestIssSmooth:
             assert is_iss_smooth(alpha) == orbit_hits_family(alpha), str(alpha)
 
 
-def is_smooth_at(c: CharacterMultiset) -> bool:
-    s = sum_local_quiver(c)
+def character_sum_of(n: int, summands) -> CharacterMultiset:
+    """The character sum of a type whose simples all have level 1, each the
+    character on its minus set."""
+    return CharacterMultiset(n, tuple((sum(q << i for i, (_, q) in enumerate(b.pairs)), e) for b, e in summands))
+
+
+def is_smooth_at(n: int, summands) -> bool:
+    s = type_local_quiver(n, summands)
     return is_smooth_setting(s.quiver, s.dims)
 
 
-def local_type(c: CharacterMultiset) -> str:
-    """The local quiver at c as 'd <=k=> e' if it has two vertices, else its repr."""
-    s = sum_local_quiver(c)
+def local_type(n: int, summands) -> str:
+    """The local quiver at a type as 'd <=k=> e' if it has two vertices, else its repr."""
+    s = type_local_quiver(n, summands)
     return f"{s.dims[0]} <={s.quiver.arrows[0, 1]}=> {s.dims[1]}" if s.quiver.v == 2 else repr(s)
 
 
+def type_str(summands) -> str:
+    return " + ".join(f"({b})" + (f"^{e}" if e > 1 else "") for b, e in summands)
+
+
 class TestSmoothAtEverySum:
-    """is_iss_smooth and rep2_values against the character sums of a
-    component and Bocklandt's block rules on their local quivers.  The check
-    is empirical: it visits only the semisimple points whose simple summands
-    all have dimension 1."""
+    """is_iss_smooth and rep2_values against the semisimple types of a
+    component and Bocklandt's block rules on their local quivers.
+
+    The character sums, the types with top=1, decide smoothness:
+    1. The local quiver is constant along a Luna stratum, so the singular
+       locus is a closed union of strata.
+    2. For a simple b, iss_b is irreducible, because Rep_b is a product of
+       conjugacy classes of involutions in GL_m, each a homogeneous space.
+       So iss_b is the closure of its simple locus, and [M_b] (chain_of(b))
+       lies in it.
+    3. So every stratum's closure holds the character sum sum_j M_{b_j}^{e_j}.
+    4. Hence a component is smooth exactly when the local quiver at each of
+       its character sums is.  Those quivers are loop-free, so they are fully
+       in is_smooth_setting's range.
+    The check over every type visits the other strata as well."""
 
     def test_character_sums_have_the_dimension_vector(self):
         for n, m in ((1, 3), (2, 2), (3, 2), (3, 3)):
             for alpha in components(n, m):
-                sums = list(character_sums(alpha))
+                sums = [character_sum_of(n, t) for t in semisimple_types(alpha, top=1)]
                 assert all(c.dim_vector() == alpha for c in sums) and len(set(sums)) == len(sums)
                 assert chain_of(alpha) in sums
         # {}+{1,2}, {1}+{2}: the two sums of (1,1);(1,1)
-        assert {str(c) for c in character_sums(DimVector(((1, 1), (1, 1))))} == {"{}+{1,2}", "{1}+{2}"}
+        types = semisimple_types(DimVector(((1, 1), (1, 1))), top=1)
+        assert {str(character_sum_of(2, t)) for t in types} == {"{}+{1,2}", "{1}+{2}"}
 
     def test_component_smooth_exactly_when_every_sum_is(self):
         reps = [(n, m) for n in range(1, 5) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
         seen = smooth = points = 0
         for n, m in reps:
             for alpha in orbit_representatives(n, m):
-                sums = list(character_sums(alpha))
-                assert is_iss_smooth(alpha) == all(map(is_smooth_at, sums)), str(alpha)
+                sums = list(semisimple_types(alpha, top=1))
+                assert is_iss_smooth(alpha) == all(is_smooth_at(n, t) for t in sums), str(alpha)
                 seen, smooth, points = seen + 1, smooth + is_iss_smooth(alpha), points + len(sums)
         assert (seen, smooth, points) == (203, 115, 3856)
+
+    def test_component_smooth_exactly_when_every_type_is(self):
+        # the m = 0 row has one empty type, whose empty quiver is smooth
+        seen = types = 0
+        unsupported = []
+        for n in range(1, 5):
+            for m in range(6):
+                for alpha in orbit_representatives(n, m):
+                    verdicts = []
+                    for t in semisimple_types(alpha):
+                        try:
+                            verdicts.append(is_smooth_at(n, t))
+                        except UnsupportedInputError:
+                            unsupported.append(f"{alpha} = {type_str(t)}")
+                        types += 1
+                    assert is_iss_smooth(alpha) == all(verdicts), str(alpha)
+                    seen += 1
+        assert (seen, types) == (104, 2362)
+        # S^2 for a level-2 simple S, alone or beside one character: loops at a
+        # dimension-2 vertex, outside the block rules' range
+        assert unsupported == [
+            "2,2;2,2 = (1,1;1,1)^2",
+            "3,2;3,2 = (1,0;1,0) + (1,1;1,1)^2",
+            "2,2;2,2;2,2 = (1,1;1,1;1,1)^2",
+            "4,0;2,2;2,2 = (2,0;1,1;1,1)^2",
+            "3,2;3,2;3,2 = (1,0;1,0;1,0) + (1,1;1,1;1,1)^2",
+            "4,1;3,2;3,2 = (0,1;1,0;1,0) + (2,0;1,1;1,1)^2",
+            "5,0;3,2;3,2 = (1,0;1,0;1,0) + (2,0;1,1;1,1)^2",
+            "2,2;2,2;2,2;2,2 = (1,1;1,1;1,1;1,1)^2",
+            "4,0;2,2;2,2;2,2 = (2,0;1,1;1,1;1,1)^2",
+            "4,0;4,0;2,2;2,2 = (2,0;2,0;1,1;1,1)^2",
+            "3,2;3,2;3,2;3,2 = (1,0;1,0;1,0;1,0) + (1,1;1,1;1,1;1,1)^2",
+            "4,1;3,2;3,2;3,2 = (0,1;1,0;1,0;1,0) + (2,0;1,1;1,1;1,1)^2",
+            "4,1;4,1;3,2;3,2 = (0,1;0,1;1,0;1,0) + (2,0;2,0;1,1;1,1)^2",
+            "5,0;3,2;3,2;3,2 = (1,0;1,0;1,0;1,0) + (2,0;1,1;1,1;1,1)^2",
+            "5,0;4,1;3,2;3,2 = (1,0;0,1;1,0;1,0) + (2,0;2,0;1,1;1,1)^2",
+            "5,0;5,0;3,2;3,2 = (1,0;1,0;1,0;1,0) + (2,0;2,0;1,1;1,1)^2",
+        ]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rep2_values_read_off_the_sums(self, n):
         for k in range(n + 1):
             alpha = DimVector(((1, 1),) * k + ((2, 0),) * (n - k))
-            singular = [c for c in character_sums(alpha) if not is_smooth_at(c)]
-            types = {local_type(c) for c in singular}
+            singular = [t for t in semisimple_types(alpha, top=1) if not is_smooth_at(n, t)]
+            types = {local_type(n, t) for t in singular}
             assert rep2_values(k) == (
                 sum(2 * p * q for p, q in alpha.pairs),
                 iss_dim(alpha) if is_simple_alpha(alpha) else 0,

@@ -13,7 +13,9 @@ from oracles import (
     graph_json_obj,
     labels_by_product,
     min_element,
+    semisimple_types,
     setting_json_obj,
+    type_local_quiver,
     young_sort_key,
 )
 
@@ -325,6 +327,26 @@ class TestLocalQuiver:
                     q = local_quiver(s).quiver
                     assert q == Quiver(local_quiver_rows(s)[0]), s
                     assert q.arrows.dtype == np.int64 and not q.arrows.flags.writeable, s
+
+    def test_standard_types_are_the_settings(self):
+        # a simple of (m-1,1)^n is (k-1,1) on its minus set A and (k,0) off it,
+        # the block (|A|, k) of a setting, or the trivial character (|A| = 0);
+        # its Le Bruyn-Procesi quiver, read off chi, is the setting's local quiver
+        classes = types = 0
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                settings = {s.young(): s for s in enumerate_settings(n, m)}
+                labels = set()
+                for t in semisimple_types(DimVector.standard(n, m)):
+                    keyed = sorted((((sum(q for _, q in b.pairs), b.m), (b, e)) for b, e in t), reverse=True)
+                    label = tuple(key for key, _ in keyed if key[0])
+                    qs = type_local_quiver(n, tuple(summand for _, summand in keyed))
+                    assert (qs.quiver.arrows.tolist(), qs.dims) == local_quiver_rows(settings[label]), (n, m, t)
+                    labels.add(label)
+                    types += 1
+                assert labels == settings.keys(), (n, m)
+                classes += len(labels)
+        assert (classes, types) == (226, 3141)
 
 
 class TestLocalEulerMatrix:
